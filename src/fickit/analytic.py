@@ -13,9 +13,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (Dataset, FittedModel, MonteCarloEstimate, ParameterVector,
-                   kl_divergence_mc, kl_statistic, replicate_rng,
-                   shannon_information)
+from .core import (Dataset, FickitError, FittedModel, MonteCarloEstimate,
+                   ParameterVector, derive_seed, kl_divergence_mc,
+                   kl_statistic, replicate_values, shannon_information)
 
 # Eigenvalues below this fraction of the largest are treated as
 # degenerate directions and pseudo-inverted.
@@ -156,27 +156,20 @@ def error_statistic_correlation(family, truth: FittedModel,
     model_a = family.model_at(theta_a)
     model_b = family.model_at(theta_b)
     div_a = kl_divergence_mc(truth, model_a, truth, sample_size,
-                             replicates, derive_stream(seed, 1)).value
+                             replicates, derive_seed(seed, 1)).value
     div_b = kl_divergence_mc(truth, model_b, truth, sample_size,
-                             replicates, derive_stream(seed, 2)).value
-    ka = np.empty(replicates)
-    kb = np.empty(replicates)
-    for r in range(replicates):
-        rng = replicate_rng(seed, r)
-        x = truth.sampler(sample_size, rng)
-        ka[r] = div_a - kl_statistic(x, truth, model_a)
-        kb[r] = div_b - kl_statistic(x, truth, model_b)
+                             replicates, derive_seed(seed, 2)).value
+    ka, kb = replicate_values(
+        truth.sampler, sample_size, replicates, seed,
+        lambda x: np.stack([div_a - kl_statistic(x, truth, model_a),
+                            div_b - kl_statistic(x, truth, model_b)],
+                           axis=-1)).T
     if same:
         return 1.0
     if ka.std() == 0.0 or kb.std() == 0.0:
         raise ValueError("error statistic has zero variance; "
                          "correlation undefined")
     return float(np.corrcoef(ka, kb)[0, 1])
-
-
-def derive_stream(seed: int, tag: int) -> int:
-    ss = np.random.SeedSequence([int(seed) % 2**63, int(tag)])
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)
@@ -221,10 +214,6 @@ class LandscapeGrid:
         flat = np.nanargmin(self.D_surface)
         return np.unravel_index(flat, self.D_surface.shape)
 
-    def argmin_d(self) -> tuple:
-        flat = np.nanargmin(self.d_surface)
-        return np.unravel_index(flat, self.d_surface.shape)
-
 
 def information_landscape(family, truth: FittedModel, data: Dataset,
                           grid: GridSpec, replicates: int = 200,
@@ -232,20 +221,21 @@ def information_landscape(family, truth: FittedModel, data: Dataset,
     """Evaluate the in-sample loss on ``data`` and the Monte Carlo
     expected loss over a 2-parameter grid.
 
-    The same simulated datasets are reused for every grid cell (common
-    random numbers), so neighboring cells are directly comparable.
-    Cells with invalid parameters are flagged, not fatal.
+    The same simulated datasets, drawn once as one block, are reused
+    for every grid cell (common random numbers), so neighboring cells
+    are directly comparable; each cell scores the whole block in one
+    call. Cells whose parameters the family rejects (``ValueError`` or
+    a ``FickitError``) are flagged, not fatal; any other error
+    propagates.
     """
     if family.model_at is None:
         raise ValueError("family does not expose model_at")
     a1 = grid.axis1.values()
     a2 = grid.axis2.values()
-    sims = []
-    for r in range(replicates):
-        rng = replicate_rng(seed, r)
-        sims.append(truth.sampler(data.sample_size, rng))
+    sims = Dataset(replicate_values(truth.sampler, data.sample_size,
+                                    replicates, seed, lambda y: y.values))
     h_truth_data = shannon_information(data, truth)
-    h_truth_sims = np.array([shannon_information(y, truth) for y in sims])
+    h_truth_sims = shannon_information(sims, truth)
     d = np.full((a1.size, a2.size), np.nan)
     D = np.full((a1.size, a2.size), np.nan)
     Dse = np.full((a1.size, a2.size), np.nan)
@@ -255,11 +245,10 @@ def information_landscape(family, truth: FittedModel, data: Dataset,
             try:
                 model = family.model_at(ParameterVector([v1, v2]))
                 d[i, j] = shannon_information(data, model) - h_truth_data
-                hs = np.array([shannon_information(y, model) for y in sims])
-                diffs = hs - h_truth_sims
+                diffs = shannon_information(sims, model) - h_truth_sims
                 D[i, j] = diffs.mean()
                 Dse[i, j] = diffs.std(ddof=1) / np.sqrt(replicates)
-            except Exception:
+            except (ValueError, FickitError):
                 invalid[i, j] = True
     return LandscapeGrid(a1, a2, d, D, Dse, invalid)
 

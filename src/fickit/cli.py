@@ -54,6 +54,21 @@ class UsageError(FickitError):
     pass
 
 
+def _is_int(value) -> bool:
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool))
+
+
+def _is_real(value) -> bool:
+    return ((_is_int(value) or isinstance(value, (float, np.floating)))
+            and math.isfinite(value))
+
+
+def _check(name: str, value, ok, expected: str) -> None:
+    if not ok(value):
+        raise UsageError(f"{name} must be {expected}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully serializable description of one experiment run."""
@@ -83,10 +98,37 @@ class ExperimentConfig:
                              f"expected one of {self._EXPERIMENTS}")
         for name in ("algorithms", "landscape_truth", "grid_axis1",
                      "grid_axis2", "evt_m_values", "evt_nu_values"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise UsageError(f"{name} must be a list, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
+        for name in ("sample_size", "replicates", "seed", "n_min", "n_max"):
+            _check(name, getattr(self, name), _is_int, "an integer")
+        for name in ("out_dir", "landscape_family"):
+            _check(name, getattr(self, name),
+                   lambda v: isinstance(v, str), "a string")
+        _check("truth_known", self.truth_known,
+               lambda v: isinstance(v, bool), "true or false")
+        _check("algorithms", self.algorithms,
+               lambda v: all(isinstance(a, str) for a in v),
+               "a list of names")
         bad = set(self.algorithms) - {"sequential", "greedy"}
         if bad:
             raise UsageError(f"unknown algorithms: {sorted(bad)}")
+        _check("landscape_truth", self.landscape_truth,
+               lambda v: len(v) == 2 and all(map(_is_real, v)),
+               "two numbers")
+        for name in ("grid_axis1", "grid_axis2"):
+            _check(name, getattr(self, name),
+                   lambda v: (len(v) == 3 and all(map(_is_real, v[:2]))
+                              and _is_int(v[2]) and v[2] >= 2),
+                   "[start, stop, num] with an integer num >= 2")
+        for name in ("evt_m_values", "evt_nu_values"):
+            _check(name, getattr(self, name),
+                   lambda v: all(_is_int(x) and x >= 1 for x in v),
+                   "a list of integers >= 1")
+        if self.sample_size < 2:
+            raise UsageError("sample_size must be >= 2")
         if self.n_min < 0 or self.n_max < self.n_min:
             raise UsageError("need 0 <= n_min <= n_max")
         if self.replicates < 2:

@@ -7,18 +7,16 @@ leave-one-out cross validation, and model ranking.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .analytic import FisherMatrix
-from .core import (Dataset, DensityError, FickitError, FitError, FittedModel,
-                   MonteCarloEstimate, ParameterVector, StructuredDataError,
-                   replicate_rng, shannon_information)
+from .core import (Dataset, FickitError, FittedModel, MonteCarloEstimate,
+                   ParameterVector, StructuredDataError, draw_rows,
+                   replicate_values, shannon_information)
 
 Complexity = Union[float, MonteCarloEstimate, None]
 
@@ -108,46 +106,29 @@ def _complexity_replicates(family, generator: FittedModel, sample_size: int,
     both ways. The symmetrization leaves the expectation unchanged
     (Z and Y are exchangeable) and cancels the generator's shared-signal
     noise, cutting the variance by orders of magnitude for structured
-    generators.
+    generators. Replicates are drawn, fit and scored a block at a time.
     """
-    if replicates < 2:
-        raise ValueError("replicates must be >= 2")
-    vals = np.empty(replicates)
-    for r in range(replicates):
-        rng = replicate_rng(seed, r)
-        try:
-            z = generator.sampler(sample_size, rng)
-            y = generator.sampler(sample_size, rng)
-            fit_z = family.fit(z)
-            fit_y = family.fit(y)
-            gap_z = (shannon_information(y, fit_z)
-                     - shannon_information(z, fit_z))
-            gap_y = (shannon_information(z, fit_y)
-                     - shannon_information(y, fit_y))
-        except (FitError, DensityError, ValueError) as exc:
-            raise FitError(
-                f"replicate {r} (seed {seed}) failed: {exc}") from exc
-        vals[r] = 0.5 * (gap_z + gap_y)
-    return vals
+    def gap(z: Dataset, y: Dataset) -> np.ndarray:
+        fit_z = family.fit(z)
+        fit_y = family.fit(y)
+        gap_z = (shannon_information(y, fit_z)
+                 - shannon_information(z, fit_z))
+        gap_y = (shannon_information(z, fit_y)
+                 - shannon_information(y, fit_y))
+        return 0.5 * (gap_z + gap_y)
+
+    return replicate_values(generator.sampler, sample_size, replicates, seed,
+                            gap, draws=2)
 
 
 def fic_complexity(family, generator: FittedModel, sample_size: int,
-                   replicates: int = 1000, seed: int = 0,
-                   cache: Optional["ComplexityCache"] = None
+                   replicates: int = 1000, seed: int = 0
                    ) -> MonteCarloEstimate:
     """Monte Carlo complexity of the family under a candidate generator:
     the expected generalization gap of the fully refit model."""
-    if cache is not None:
-        hit = cache.get(family, generator.params, sample_size,
-                        replicates, seed)
-        if hit is not None:
-            return hit
     vals = _complexity_replicates(family, generator, sample_size,
                                   replicates, seed)
-    est = MonteCarloEstimate.from_values(vals, seed)
-    if cache is not None:
-        cache.put(family, generator.params, sample_size, est)
-    return est
+    return MonteCarloEstimate.from_values(vals, seed)
 
 
 def true_complexity_mc(truth: FittedModel, family, sample_size: int,
@@ -161,14 +142,13 @@ def true_complexity_mc(truth: FittedModel, family, sample_size: int,
 
 
 def fic(data: Dataset, family, replicates: int = 1000, seed: int = 0,
-        label: str = "", cache: Optional["ComplexityCache"] = None
-        ) -> CriterionReport:
+        label: str = "") -> CriterionReport:
     """Fit the family, then add the Monte Carlo complexity computed
     under the fitted candidate distribution at the same sample size."""
     fitted = family.fit(data)
     h = shannon_information(data, fitted)
     complexity = fic_complexity(family, fitted, data.sample_size,
-                                replicates, seed, cache=cache)
+                                replicates, seed)
     return _report(label or family.family_id, "FIC", h, complexity,
                    family.n_params)
 
@@ -185,28 +165,21 @@ def bootstrap_complexity(data: Dataset, family, mode: str,
     """
     if mode not in ("parametric", "empirical"):
         raise ValueError("mode must be 'parametric' or 'empirical'")
-    if replicates < 2:
-        raise ValueError("replicates must be >= 2")
     if mode == "empirical" and family.structured_data:
         raise StructuredDataError(
             f"{family.family_id} holds structured observations; "
             "empirical resampling is not meaningful for it")
     fit_x = family.fit(data)
     h_x = shannon_information(data, fit_x)
-    n = data.sample_size
-    vals = np.empty(replicates)
-    for r in range(replicates):
-        rng = replicate_rng(seed, r)
-        try:
-            if mode == "parametric":
-                y = fit_x.sampler(n, rng)
-            else:
-                y = Dataset(rng.choice(data.values, size=n, replace=True))
-            fit_y = family.fit(y)
-            vals[r] = 2.0 * (shannon_information(data, fit_y) - h_x)
-        except (FitError, DensityError, ValueError) as exc:
-            raise FitError(
-                f"replicate {r} (seed {seed}) failed: {exc}") from exc
+
+    def resample(n: int, rng) -> Dataset:
+        return Dataset(draw_rows(
+            rng, lambda g: g.choice(data.values, size=n, replace=True)))
+
+    vals = replicate_values(
+        fit_x.sampler if mode == "parametric" else resample,
+        data.sample_size, replicates, seed,
+        lambda y: 2.0 * (shannon_information(data, family.fit(y)) - h_x))
     return MonteCarloEstimate.from_values(vals, seed)
 
 
@@ -320,60 +293,3 @@ def rank_models(reports: Sequence[CriterionReport]):
     best = ordered[0].criterion_value
     return [(r.model_label, r.criterion_value, r.criterion_value - best)
             for r in ordered]
-
-
-# ---------------------------------------------------------------------------
-# Persisted complexity lookup table
-# ---------------------------------------------------------------------------
-
-_CACHE_HEADER = "family_id,params_digest,N,replicates,seed,value,std_error"
-
-
-def params_digest(params: ParameterVector) -> str:
-    """Digest of the generator parameters, quantized to 12 significant
-    digits so numerically identical generators share cache entries."""
-    parts = [format(float(c), ".12g") for c in params.coordinates]
-    if params.tags:
-        parts.append("tags:" + ",".join(str(t) for t in params.tags))
-    return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
-
-
-class ComplexityCache:
-    """Append-only CSV lookup table of Monte Carlo complexities, keyed
-    by (family, generator digest, sample size, replicates, seed)."""
-
-    def __init__(self, path):
-        self.path = str(path)
-        self._table = {}
-        if os.path.exists(self.path):
-            with open(self.path, encoding="utf-8") as fh:
-                header = fh.readline().strip()
-                if header != _CACHE_HEADER:
-                    raise ValueError(f"unexpected cache header: {header!r}")
-                for line in fh:
-                    fam, digest, n, reps, seed, value, se = \
-                        line.strip().split(",")
-                    key = (fam, digest, int(n), int(reps), int(seed))
-                    self._table[key] = MonteCarloEstimate(
-                        float(value), float(se), int(reps), int(seed))
-
-    def get(self, family, params: ParameterVector, sample_size: int,
-            replicates: int, seed: int) -> Optional[MonteCarloEstimate]:
-        key = (family.family_id, params_digest(params), sample_size,
-               replicates, seed)
-        return self._table.get(key)
-
-    def put(self, family, params: ParameterVector, sample_size: int,
-            estimate: MonteCarloEstimate) -> None:
-        key = (family.family_id, params_digest(params), sample_size,
-               estimate.replicates, estimate.seed)
-        if key in self._table:
-            return
-        self._table[key] = estimate
-        new_file = not os.path.exists(self.path)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            if new_file:
-                fh.write(_CACHE_HEADER + "\n")
-            fh.write(",".join([key[0], key[1], str(key[2]), str(key[3]),
-                               str(key[4]), repr(estimate.value),
-                               repr(estimate.std_error)]) + "\n")

@@ -6,13 +6,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .analytic import FisherMatrix
 from .core import (Dataset, FitError, FittedModel, ParameterVector,
-                   StructuredDataError)
+                   draw_rows, row_error)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -20,7 +20,8 @@ LOG_2PI = math.log(2.0 * math.pi)
 @dataclass(frozen=True)
 class ModelFamily:
     """A fitting contract: a deterministic procedure that turns a
-    Dataset into a FittedModel.
+    Dataset into a FittedModel. Fit to a block, it returns one model
+    that holds the fit to each row, exactly as if fit row by row.
 
     ``structured_data`` marks families whose observations are not
     exchangeable; resampling-style validation refuses them.
@@ -37,10 +38,6 @@ class ModelFamily:
     fisher_at: Optional[Callable[[ParameterVector, int], FisherMatrix]] = None
 
 
-def _gaussian_logpdf_sum(residuals: np.ndarray) -> float:
-    return float(-0.5 * residuals.size * LOG_2PI - 0.5 * (residuals ** 2).sum())
-
-
 def _block_sizes(n: int, k: int) -> np.ndarray:
     if n < k:
         raise ValueError("need at least one observation per mean block")
@@ -49,24 +46,80 @@ def _block_sizes(n: int, k: int) -> np.ndarray:
     return sizes
 
 
-def gaussian_mean_model(means: np.ndarray, label: str = "") -> FittedModel:
-    """Unit-variance normal blocks around the given per-block means.
+def _log(x):
+    """Natural log, element by element through ``math.log``: numpy's
+    vectorised log can differ from it in the last bit, and a replicate's
+    value must not depend on whether it was computed in a block."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return math.log(x)
+    return np.array([math.log(v) for v in x])
 
-    A dataset of size n is split into len(means) contiguous blocks of
-    near-equal size (the leading blocks absorb any remainder).
+
+def _rows(fn: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
+    """``fn`` of one 1-D array, or of each row of a block, stacked.
+
+    For the LAPACK and BLAS calls whose multi-row forms change the last
+    bits (a multi-column least-squares solve, a matrix product in place
+    of matrix-vector products).
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return fn(x)
+    return np.stack([fn(row) for row in x])
+
+
+def _fixed_mean(mean: np.ndarray) -> Callable[[int], np.ndarray]:
+    N = mean.shape[-1]
+
+    def mean_at(n: int) -> np.ndarray:
+        if n != N:
+            raise ValueError(f"sample size {n} does not match the "
+                             f"model's N = {N}")
+        return mean
+
+    return mean_at
+
+
+def _normal_model(params: ParameterVector,
+                  mean_at: Callable[[int], np.ndarray], variance=1.0,
+                  label: str = "") -> FittedModel:
+    """Independent normal observations around ``mean_at(n)`` (shape
+    (N,), or (R, N) for a fit to a block) with the given variance (a
+    scalar, or one per row).
+
+    Unit variance gives the unit-variance density bit for bit, since
+    log 1 = 0 and sqrt 1 = 1.
+    """
+    variance = np.asarray(variance, dtype=float)
+    log_norm = LOG_2PI + _log(variance)
+    sd = np.sqrt(variance)[..., None]
+
+    def log_density(data: Dataset) -> np.ndarray:
+        n = data.sample_size
+        sq = data.values - mean_at(n)
+        np.square(sq, out=sq)
+        return -0.5 * n * log_norm - 0.5 * sq.sum(axis=-1) / variance
+
+    def sampler(n: int, rng) -> Dataset:
+        return Dataset(mean_at(n) + sd * draw_rows(
+            rng, lambda g: g.standard_normal(n)))
+
+    return FittedModel(params, log_density, sampler, label)
+
+
+def gaussian_mean_model(means: np.ndarray, label: str = "") -> FittedModel:
+    """Unit-variance normal blocks around the given per-block means (a
+    row of means per dataset for a fit to a block).
+
+    A dataset of size n is split into means.shape[-1] contiguous blocks
+    of near-equal size (the leading blocks absorb any remainder).
     """
     means = np.atleast_1d(np.asarray(means, dtype=float))
-    k = means.size
-
-    def log_density(data: Dataset) -> float:
-        mu = np.repeat(means, _block_sizes(data.sample_size, k))
-        return _gaussian_logpdf_sum(data.values - mu)
-
-    def sampler(n: int, rng: np.random.Generator) -> Dataset:
-        mu = np.repeat(means, _block_sizes(n, k))
-        return Dataset(mu + rng.standard_normal(n))
-
-    return FittedModel(ParameterVector(means), log_density, sampler, label)
+    k = means.shape[-1]
+    return _normal_model(
+        ParameterVector(means),
+        lambda n: np.repeat(means, _block_sizes(n, k), axis=-1), label=label)
 
 
 def gaussian_mean_family(K: int) -> ModelFamily:
@@ -76,9 +129,10 @@ def gaussian_mean_family(K: int) -> ModelFamily:
         raise ValueError("K must be >= 1")
 
     def fit(data: Dataset) -> FittedModel:
-        bounds = np.cumsum(_block_sizes(data.sample_size, K))[:-1]
-        means = [b.mean() for b in np.split(data.values, bounds)]
-        return gaussian_mean_model(means)
+        sizes = _block_sizes(data.sample_size, K)
+        means = [data.values[..., end - size:end].mean(axis=-1)
+                 for size, end in zip(sizes, np.cumsum(sizes))]
+        return gaussian_mean_model(np.array(means).T)    # a row per dataset
 
     def model_at(params: ParameterVector) -> FittedModel:
         if params.dimension != K:
@@ -94,24 +148,13 @@ def gaussian_mean_family(K: int) -> ModelFamily:
 
 
 def _regression_model(design: np.ndarray, beta: np.ndarray,
-                      variance: float) -> FittedModel:
-    mean = design @ beta
-    n = design.shape[0]
-    params = ParameterVector(np.concatenate([beta, [variance]]))
-
-    def log_density(data: Dataset) -> float:
-        if data.sample_size != n:
-            raise ValueError("data length must match the design matrix")
-        resid = data.values - mean
-        return float(-0.5 * n * (LOG_2PI + math.log(variance))
-                     - 0.5 * (resid ** 2).sum() / variance)
-
-    def sampler(m: int, rng: np.random.Generator) -> Dataset:
-        if m != n:
-            raise ValueError("sample size must match the design matrix")
-        return Dataset(mean + math.sqrt(variance) * rng.standard_normal(n))
-
-    return FittedModel(params, log_density, sampler)
+                      variance) -> FittedModel:
+    beta = np.asarray(beta, dtype=float)
+    variance = np.asarray(variance, dtype=float)
+    params = ParameterVector(np.concatenate([beta, variance[..., None]],
+                                            axis=-1))
+    mean = _rows(lambda b: design @ b, beta)
+    return _normal_model(params, _fixed_mean(mean), variance)
 
 
 def linear_regression_family(design: np.ndarray) -> ModelFamily:
@@ -126,16 +169,18 @@ def linear_regression_family(design: np.ndarray) -> ModelFamily:
         raise ValueError("design matrix must have full column rank")
     if n <= p + 2:
         raise ValueError("need N > K + 1 observations (K = p + 1)")
-    gram_inv = np.linalg.inv(design.T @ design)
 
     def fit(data: Dataset) -> FittedModel:
         if data.sample_size != n:
             raise ValueError("data length must match the design matrix")
-        beta, *_ = np.linalg.lstsq(design, data.values, rcond=None)
-        resid = data.values - design @ beta
-        variance = float((resid ** 2).sum() / n)
-        if variance <= 0.0:
-            raise FitError("zero residual variance: degenerate density")
+        y = data.values
+        beta = _rows(lambda row: np.linalg.lstsq(design, row, rcond=None)[0],
+                     y)
+        resid = y - _rows(lambda b: design @ b, beta)
+        variance = (resid ** 2).sum(axis=-1) / n
+        if np.any(variance <= 0.0):
+            raise row_error(FitError, variance <= 0.0,
+                            "zero residual variance: degenerate density")
         return _regression_model(design, beta, variance)
 
     def model_at(params: ParameterVector) -> FittedModel:
@@ -158,29 +203,37 @@ def linear_regression_family(design: np.ndarray) -> ModelFamily:
                        model_at=model_at, fisher_at=fisher_at)
 
 
-def exponential_model(rate: float) -> FittedModel:
-    if rate <= 0.0:
+def exponential_model(rate) -> FittedModel:
+    """Exponential observations at the given rate (one per row for a
+    fit to a block)."""
+    rate = np.asarray(rate, dtype=float)
+    if np.any(rate <= 0.0):
         raise ValueError("rate must be positive")
+    log_rate = _log(rate)
+    scale = (1.0 / rate)[..., None]
 
-    def log_density(data: Dataset) -> float:
-        if np.any(data.values <= 0.0):
-            return -np.inf
-        return float(data.sample_size * math.log(rate)
-                     - rate * data.values.sum())
+    def log_density(data: Dataset) -> np.ndarray:
+        x = data.values
+        logpdf = data.sample_size * log_rate - rate * x.sum(axis=-1)
+        return np.where((x <= 0.0).any(axis=-1), -np.inf, logpdf)
 
-    def sampler(n: int, rng: np.random.Generator) -> Dataset:
-        return Dataset(rng.exponential(1.0 / rate, n))
+    def sampler(n: int, rng) -> Dataset:
+        return Dataset(scale * draw_rows(
+            rng, lambda g: g.standard_exponential(n)))
 
-    return FittedModel(ParameterVector([rate]), log_density, sampler)
+    return FittedModel(ParameterVector(rate[..., None]), log_density, sampler)
 
 
 def exponential_family() -> ModelFamily:
     """One-parameter exponential distribution, MLE rate = N / sum(x)."""
 
     def fit(data: Dataset) -> FittedModel:
-        if np.any(data.values <= 0.0):
-            raise FitError("exponential data must be strictly positive")
-        return exponential_model(data.sample_size / float(data.values.sum()))
+        bad = (data.values <= 0.0).any(axis=-1)
+        if bad.any():
+            raise row_error(FitError, bad,
+                            "exponential data must be strictly positive")
+        return exponential_model(data.sample_size
+                                 / data.values.sum(axis=-1))
 
     def model_at(params: ParameterVector) -> FittedModel:
         return exponential_model(float(params.coordinates[0]))
@@ -215,19 +268,8 @@ def neutrino_truth(N: int) -> FittedModel:
     if N < 2 or N % 2:
         raise ValueError("N must be even and >= 2")
     mu = neutrino_mean(N)
-
-    def log_density(data: Dataset) -> float:
-        if data.sample_size != N:
-            raise ValueError("data length must equal N")
-        return _gaussian_logpdf_sum(data.values - mu)
-
-    def sampler(n: int, rng: np.random.Generator) -> Dataset:
-        if n != N:
-            raise ValueError("sample size must equal N")
-        return Dataset(mu + rng.standard_normal(N))
-
-    return FittedModel(ParameterVector(mu), log_density, sampler,
-                       label=f"neutrino_truth_N{N}")
+    return _normal_model(ParameterVector(mu), _fixed_mean(mu),
+                         label=f"neutrino_truth_N{N}")
 
 
 def fourier_indices(N: int) -> np.ndarray:
@@ -242,56 +284,48 @@ def fourier_indices(N: int) -> np.ndarray:
 
 
 def fourier_transform(data) -> np.ndarray:
-    """Orthonormal real Fourier coefficients of an even-length series.
+    """Orthonormal real Fourier coefficients of an even-length series,
+    or of each row of a block.
 
     Unit-variance white noise maps to independent unit-variance
     coefficients; the inverse transform reconstructs the data exactly.
     """
     x = data.values if isinstance(data, Dataset) else np.asarray(data, float)
-    N = x.size
+    N = x.shape[-1]
     if N % 2:
         raise ValueError("orthonormal Fourier basis requires even N")
     r = np.fft.rfft(x)
-    c = np.empty(N)
-    c[0] = r[0].real / math.sqrt(N)
-    c[1:N // 2] = math.sqrt(2.0 / N) * r[1:N // 2].real
-    c[N // 2] = r[N // 2].real / math.sqrt(N)
+    c = np.empty(x.shape)
+    c[..., 0] = r[..., 0].real / math.sqrt(N)
+    c[..., 1:N // 2] = math.sqrt(2.0 / N) * r[..., 1:N // 2].real
+    c[..., N // 2] = r[..., N // 2].real / math.sqrt(N)
     if N > 2:
-        c[N // 2 + 1:] = -math.sqrt(2.0 / N) * r[1:N // 2].imag[::-1]
+        c[..., N // 2 + 1:] = (-math.sqrt(2.0 / N)
+                               * r[..., 1:N // 2].imag[..., ::-1])
     return c
 
 
 def inverse_fourier_transform(coeffs: np.ndarray) -> np.ndarray:
     c = np.asarray(coeffs, dtype=float)
-    N = c.size
+    N = c.shape[-1]
     if N % 2:
         raise ValueError("orthonormal Fourier basis requires even N")
-    r = np.zeros(N // 2 + 1, dtype=complex)
-    r[0] = c[0] * math.sqrt(N)
+    # Real and imaginary parts are filled separately; 0.0 - s * c, not
+    # -s * c, gives +0.0 for a zero coefficient, as the complex product
+    # -1j * s * c does, so the spectrum matches it bit for bit.
+    r = np.zeros(c.shape[:-1] + (N // 2 + 1,), dtype=complex)
+    r.real[..., 0] = c[..., 0] * math.sqrt(N)
     if N > 2:
-        r[1:N // 2] = (c[1:N // 2] * math.sqrt(N / 2.0)
-                       - 1j * math.sqrt(N / 2.0) * c[N // 2 + 1:][::-1])
-    r[N // 2] = c[N // 2] * math.sqrt(N)
+        r.real[..., 1:N // 2] = c[..., 1:N // 2] * math.sqrt(N / 2.0)
+        r.imag[..., 1:N // 2] = (0.0 - math.sqrt(N / 2.0)
+                                 * c[..., N // 2 + 1:][..., ::-1])
+    r.real[..., N // 2] = c[..., N // 2] * math.sqrt(N)
     return np.fft.irfft(r, N)
 
 
-def _fourier_model(coeffs: np.ndarray, selected: np.ndarray,
-                   tags=None) -> FittedModel:
-    N = coeffs.size
-    mean = inverse_fourier_transform(coeffs)
-    params = ParameterVector(coeffs[selected], tags=tags)
-
-    def log_density(data: Dataset) -> float:
-        if data.sample_size != N:
-            raise ValueError("data length must equal N")
-        return _gaussian_logpdf_sum(data.values - mean)
-
-    def sampler(n: int, rng: np.random.Generator) -> Dataset:
-        if n != N:
-            raise ValueError("sample size must equal N")
-        return Dataset(mean + rng.standard_normal(N))
-
-    return FittedModel(params, log_density, sampler)
+def _fourier_model(kept: np.ndarray, params: ParameterVector) -> FittedModel:
+    return _normal_model(params,
+                         _fixed_mean(inverse_fourier_transform(kept)))
 
 
 def _sequential_positions(n: int, N: int) -> np.ndarray:
@@ -312,16 +346,16 @@ def sequential_fourier_family(n: int, N: int) -> ModelFamily:
 
     def fit(data: Dataset) -> FittedModel:
         c = fourier_transform(data)
-        kept = np.zeros(N)
-        kept[sel] = c[sel]
-        return _fourier_model(kept, sel)
+        kept = np.zeros(c.shape)
+        kept[..., sel] = c[..., sel]
+        return _fourier_model(kept, ParameterVector(c[..., sel]))
 
     def model_at(params: ParameterVector) -> FittedModel:
         if params.dimension != sel.size:
             raise ValueError("parameter dimension mismatch")
         kept = np.zeros(N)
         kept[sel] = params.coordinates
-        return _fourier_model(kept, sel)
+        return _fourier_model(kept, params)
 
     def fisher_at(params: ParameterVector, sample_size: int) -> FisherMatrix:
         # Orthonormal coefficients of unit-variance data: unit Fisher.
@@ -334,16 +368,49 @@ def sequential_fourier_family(n: int, N: int) -> ModelFamily:
 
 def greedy_selection(coeffs: np.ndarray, n: int) -> np.ndarray:
     """Positions of the constant mode plus the n largest-magnitude
-    remaining coefficients.
+    remaining coefficients, in order of selection.
 
     Ties break toward the smaller absolute mode index, positive first,
-    so the selection is a pure function of the coefficients.
+    so the selection is a pure function of the coefficients. The 1-D
+    reference of ``greedy_mask``.
     """
     N = coeffs.size
     idx = fourier_indices(N)
     order = np.lexsort((idx < 0, np.abs(idx), -np.abs(coeffs)))
     order = order[order != 0]
     return np.concatenate(([0], order[:n]))
+
+
+def greedy_mask(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Boolean mask of the positions ``greedy_selection`` keeps, for one
+    coefficient vector or for each row of a block.
+
+    A partition finds the n-th largest magnitude among positions
+    1..N-1, and every magnitude at least as large is kept. In a row
+    with more ties at that magnitude than places left, the ties fill
+    the places in the tie-break order (smaller absolute mode index
+    first, positive first). Exact, and linear per row.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    N = c.shape[-1]
+    mags = np.abs(c.reshape(-1, N)[:, 1:])
+    if n == 0:
+        keep = np.zeros(mags.shape, dtype=bool)
+    else:
+        nth = np.partition(mags, N - 1 - n, axis=1)[:, N - 1 - n, None]
+        keep = mags >= nth
+        surplus = np.flatnonzero(keep.sum(axis=1) > n)
+        if surplus.size:
+            idx = fourier_indices(N)
+            order = np.lexsort((idx < 0, np.abs(idx)))[1:] - 1
+            m = mags[surplus][:, order]
+            above = m > nth[surplus]
+            tied = m == nth[surplus]
+            room = n - above.sum(axis=1, keepdims=True)
+            keep[surplus[:, None], order] = above | (
+                tied & (np.cumsum(tied, axis=1) <= room))
+    constant = np.ones((keep.shape[0], 1), dtype=bool)
+    return np.concatenate([constant, keep], axis=1).reshape(c.shape)
 
 
 def greedy_fourier_family(n: int, N: int) -> ModelFamily:
@@ -357,10 +424,11 @@ def greedy_fourier_family(n: int, N: int) -> ModelFamily:
 
     def fit(data: Dataset) -> FittedModel:
         c = fourier_transform(data)
-        sel = greedy_selection(c, n)
-        kept = np.zeros(N)
-        kept[sel] = c[sel]
-        return _fourier_model(kept, sel, tags=tuple(int(i) for i in idx[sel]))
+        mask = greedy_mask(c, n)
+        shape = c.shape[:-1] + (n + 1,)
+        positions = np.nonzero(mask)[-1].reshape(shape)
+        params = ParameterVector(c[mask].reshape(shape), tags=idx[positions])
+        return _fourier_model(np.where(mask, c, 0.0), params)
 
     def model_at(params: ParameterVector) -> FittedModel:
         if params.tags is None or len(params.tags) != params.dimension:
@@ -368,7 +436,7 @@ def greedy_fourier_family(n: int, N: int) -> ModelFamily:
         kept = np.zeros(N)
         sel = np.array([t % N for t in params.tags], dtype=int)
         kept[sel] = params.coordinates
-        return _fourier_model(kept, sel, tags=params.tags)
+        return _fourier_model(kept, params)
 
     def fisher_at(params: ParameterVector, sample_size: int) -> FisherMatrix:
         # Orthonormal coefficients of unit-variance data: unit Fisher.
@@ -412,23 +480,14 @@ def _sine_design(N: int) -> np.ndarray:
     return np.arange(N, dtype=float)
 
 
-def sine_regression_model(amplitude: float, omega: float,
-                          N: int) -> FittedModel:
-    t = _sine_design(N)
-    mean = amplitude * np.sin(omega * t)
-    params = ParameterVector([amplitude, omega])
-
-    def log_density(data: Dataset) -> float:
-        if data.sample_size != N:
-            raise ValueError("data length must equal N")
-        return _gaussian_logpdf_sum(data.values - mean)
-
-    def sampler(n: int, rng: np.random.Generator) -> Dataset:
-        if n != N:
-            raise ValueError("sample size must equal N")
-        return Dataset(mean + rng.standard_normal(N))
-
-    return FittedModel(params, log_density, sampler)
+def sine_regression_model(amplitude, omega, N: int) -> FittedModel:
+    """Amplitude times a sinusoid of the given frequency in unit noise
+    (one amplitude and frequency per row for a fit to a block)."""
+    a = np.asarray(amplitude, dtype=float)
+    w = np.asarray(omega, dtype=float)
+    mean = a[..., None] * np.sin(w[..., None] * _sine_design(N))
+    return _normal_model(ParameterVector(np.stack([a, w], axis=-1)),
+                         _fixed_mean(mean))
 
 
 def sine_regression_family(N: int, omega_max: float = np.pi,
@@ -444,12 +503,12 @@ def sine_regression_family(N: int, omega_max: float = np.pi,
     def fit(data: Dataset) -> FittedModel:
         omegas = np.linspace(omega_max / num, omega_max, num)
         basis = np.sin(np.outer(omegas, t))           # num x N
-        proj = basis @ data.values
+        proj = _rows(lambda y: basis @ y, data.values)
         norm2 = (basis ** 2).sum(axis=1)
         gain = proj ** 2 / norm2
-        best = int(np.argmax(gain))                   # first max: fixed rule
-        a = proj[best] / norm2[best]
-        return sine_regression_model(float(a), float(omegas[best]), N)
+        best = np.argmax(gain, axis=-1)               # first max: fixed rule
+        a = np.take_along_axis(proj, best[..., None], -1)[..., 0]
+        return sine_regression_model(a / norm2[best], omegas[best], N)
 
     def model_at(params: ParameterVector) -> FittedModel:
         a, omega = params.coordinates
@@ -476,22 +535,12 @@ def linear_trend_family(N: int) -> ModelFamily:
     design = np.column_stack([np.ones(N), t])
 
     def make(params: ParameterVector) -> FittedModel:
-        mean = design @ params.coordinates
-
-        def log_density(data: Dataset) -> float:
-            if data.sample_size != N:
-                raise ValueError("data length must equal N")
-            return _gaussian_logpdf_sum(data.values - mean)
-
-        def sampler(n: int, rng: np.random.Generator) -> Dataset:
-            if n != N:
-                raise ValueError("sample size must equal N")
-            return Dataset(mean + rng.standard_normal(N))
-
-        return FittedModel(params, log_density, sampler)
+        mean = _rows(lambda b: design @ b, params.coordinates)
+        return _normal_model(params, _fixed_mean(mean))
 
     def fit(data: Dataset) -> FittedModel:
-        beta, *_ = np.linalg.lstsq(design, data.values, rcond=None)
+        beta = _rows(lambda y: np.linalg.lstsq(design, y, rcond=None)[0],
+                     data.values)
         return make(ParameterVector(beta))
 
     def fisher_at(params: ParameterVector, sample_size: int) -> FisherMatrix:

@@ -239,6 +239,21 @@ class TestInformationLandscape:
         assert not g.invalid[2:].any()
         assert np.isnan(g.D_surface[g.invalid]).all()
 
+    def test_programming_error_propagates(self):
+        # A bug in model_at is not reported as an invalid cell.
+        N = 30
+
+        class BuggyFamily:
+            family_id = "buggy"
+            model_at = staticmethod(lambda params: params.coordinates + "x")
+
+        truth = linear_trend_family(N).model_at(ParameterVector([0.5, 0.0]))
+        data = truth.sampler(N, replicate_rng(87, 0))
+        grid = GridSpec(GridAxis(-1.0, 1.0, 3), GridAxis(-1.0, 1.0, 3))
+        with pytest.raises(TypeError):
+            information_landscape(BuggyFamily(), truth, data, grid,
+                                  replicates=10, seed=88)
+
 
 class TestCountLocalMinima:
     def test_monotone_has_none(self):

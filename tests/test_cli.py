@@ -46,6 +46,26 @@ class TestExperimentConfig:
         with pytest.raises(UsageError):
             ExperimentConfig.parse("not json")
 
+    # Each of these once ended in a Python traceback (or, for the bare
+    # string, in a complaint about its characters).
+    @pytest.mark.parametrize("command, experiment, field, value", [
+        ("sweep", "neutrino_sweep", "sample_size", "100"),
+        ("sweep", "neutrino_sweep", "replicates", 2.5),
+        ("landscape", "landscape", "grid_axis1", [-1.5, 1.5]),
+        ("evt-table", "evt_table", "evt_m_values", [0]),
+        ("sweep", "neutrino_sweep", "algorithms", "greedy"),
+    ], ids=["sample_size_string", "replicates_float", "grid_axis_short",
+            "evt_m_zero", "algorithms_string"])
+    def test_bad_field_is_usage_error(self, tmp_path, capsys, command,
+                                      experiment, field, value):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"experiment": experiment, field: value,
+                                    "out_dir": str(tmp_path / "out")}))
+        assert main([command, "--config", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be")
+        assert not (tmp_path / "out").exists()
+
 
 class TestWriteCsv:
     def test_metadata_and_formatting(self, tmp_path):

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fickit.core import (Dataset, DensityError, FittedModel,
+from fickit.core import (Dataset, DensityError, FitError, FittedModel,
                          MonteCarloEstimate, ParameterVector, cross_entropy_mc,
                          error_statistic, kl_divergence_mc, kl_statistic,
-                         replicate_rng, shannon_information)
+                         replicate_rng, replicate_values, shannon_information)
 from fickit.criteria import true_complexity_mc
-from fickit.models import exponential_model, gaussian_mean_family, \
-    gaussian_mean_model
+from fickit.models import exponential_family, exponential_model, \
+    gaussian_mean_family, gaussian_mean_model
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 STD_NORMAL_ENTROPY = HALF_LOG_2PI + 0.5
@@ -34,9 +34,20 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset([np.nan])
 
-    def test_rejects_2d(self):
+    def test_rejects_3d(self):
         with pytest.raises(ValueError):
-            Dataset(np.ones((2, 2)))
+            Dataset(np.ones((2, 2, 2)))
+
+    def test_block_sample_size_is_last_axis(self):
+        block = Dataset(np.ones((3, 4)))
+        assert block.sample_size == 4
+        assert block.values.shape == (3, 4)
+
+    def test_block_names_non_finite_row(self):
+        values = np.ones((3, 4))
+        values[1, 2] = np.nan
+        with pytest.raises(ValueError, match="row 1"):
+            Dataset(values)
 
     def test_immutable(self):
         d = Dataset([1.0, 2.0])
@@ -92,6 +103,20 @@ class TestShannonInformation:
         with pytest.raises(DensityError):
             shannon_information(Dataset([-1.0]), model)
 
+    def test_block_one_value_per_row(self):
+        model = gaussian_mean_model([0.0])
+        rows = [[0.3, -1.2], [0.7, 2.1], [0.0, 0.0]]
+        h = shannon_information(Dataset(rows), model)
+        assert h.shape == (3,)
+        for r, row in enumerate(rows):
+            assert h[r] == shannon_information(Dataset(row), model)
+
+    def test_block_names_first_non_finite_row(self):
+        model = exponential_model(1.0)
+        block = Dataset([[1.0, 2.0], [3.0, 4.0], [-1.0, 2.0], [0.0, 1.0]])
+        with pytest.raises(DensityError, match="row 2"):
+            shannon_information(block, model)
+
     def test_relabeled_model_same_information(self):
         # Same density, different parameter bookkeeping: h is unchanged.
         base = gaussian_mean_model([0.5])
@@ -134,6 +159,29 @@ class TestCrossEntropy:
         a = cross_entropy_mc(truth, truth, 3, 50, seed=11)
         b = cross_entropy_mc(truth, truth, 3, 50, seed=11)
         assert a == b
+
+
+class TestReplicateValues:
+    def test_failure_names_replicate_and_seed(self):
+        # Exponential fits reject the first normal draw holding a
+        # non-positive value; the error names that replicate.
+        n, seed = 3, 5
+        first = next(r for r in range(100) if (gaussian_mean_model([0.0])
+                     .sampler(n, replicate_rng(seed, r)).values <= 0).any())
+        with pytest.raises(FitError,
+                           match=rf"^replicate {first} \(seed {seed}\)"):
+            replicate_values(
+                gaussian_mean_model([0.0]).sampler, n, 100, seed,
+                lambda y: shannon_information(y, exponential_family().fit(y)))
+
+    def test_rows_follow_streams(self):
+        model = gaussian_mean_model([0.0])
+        values = replicate_values(model.sampler, 4, 10, 9,
+                                  lambda z, y: y.values, draws=2)
+        for r in range(10):
+            rng = replicate_rng(9, r)
+            model.sampler(4, rng)
+            assert np.array_equal(values[r], model.sampler(4, rng).values)
 
 
 class TestKLStatistic:

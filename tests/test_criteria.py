@@ -1,5 +1,5 @@
 """Information criteria: closed forms, Monte Carlo complexities,
-bootstrap, leave-one-out validation, ranking, and the lookup table."""
+bootstrap, leave-one-out validation, and ranking."""
 
 import math
 
@@ -9,13 +9,11 @@ import pytest
 from fickit.core import (Dataset, FickitError, ParameterVector,
                          StructuredDataError, replicate_rng,
                          shannon_information)
-from fickit.criteria import (ComplexityCache, ComplexityCurve,
-                             CriterionReport, aic, aicc_exponential,
-                             aicc_linear_regression, bic,
+from fickit.criteria import (ComplexityCurve, CriterionReport, aic,
+                             aicc_exponential, aicc_linear_regression, bic,
                              bootstrap_complexity, fic, fic_complexity,
                              fic_complexity_gradient, fic_variance_estimate,
-                             loocv, params_digest, rank_models,
-                             true_complexity_mc)
+                             loocv, rank_models, true_complexity_mc)
 from fickit.models import (exponential_family, fixed_family,
                            gaussian_mean_family, gaussian_mean_model,
                            greedy_fourier_family, linear_regression_family,
@@ -25,6 +23,32 @@ from fickit.models import (exponential_family, fixed_family,
 
 def _gaussian_data(n, seed, mean=0.0):
     return Dataset(mean + replicate_rng(seed, 0).standard_normal(n))
+
+
+class TestComplexityReplicates:
+    def test_values_do_not_depend_on_replicate_count_or_chunks(self):
+        # At N=1000 a chunk holds 16 rows, so R=40 and R=100 split the
+        # first 40 replicates at different boundaries.
+        from fickit.core import BLOCK_BYTES
+        from fickit.criteria import _complexity_replicates
+        N = 1000
+        assert BLOCK_BYTES // (8 * N) < 40
+        family = greedy_fourier_family(3, N)
+        truth = neutrino_truth(N)
+        short = _complexity_replicates(family, truth, N, 40, seed=91)
+        long = _complexity_replicates(family, truth, N, 100, seed=91)
+        assert np.array_equal(short, long[:40])
+        # Each value is the replicate's own two-dataset gap.
+        for r in (0, 17, 39):
+            rng = replicate_rng(91, r)
+            z = truth.sampler(N, rng)
+            y = truth.sampler(N, rng)
+            fit_z, fit_y = family.fit(z), family.fit(y)
+            gap = 0.5 * ((shannon_information(y, fit_z)
+                          - shannon_information(z, fit_z))
+                         + (shannon_information(z, fit_y)
+                            - shannon_information(y, fit_y)))
+            assert short[r] == gap
 
 
 class TestClosedForms:
@@ -326,43 +350,3 @@ class TestRankModels:
                        label=f"n={n}")
                    for n in range(0, 7)]
         assert rank_models(reports)[0][0] == "n=2"
-
-
-class TestComplexityCache:
-    def test_roundtrip_and_hit(self, tmp_path):
-        path = tmp_path / "cache.csv"
-        family = gaussian_mean_family(1)
-        gen = family.model_at(ParameterVector([0.0]))
-        cache = ComplexityCache(path)
-        first = fic_complexity(family, gen, 10, replicates=80, seed=71,
-                               cache=cache)
-        reloaded = ComplexityCache(path)
-        hit = reloaded.get(family, gen.params, 10, 80, 71)
-        assert hit == first
-        again = fic_complexity(family, gen, 10, replicates=80, seed=71,
-                               cache=reloaded)
-        assert again == first
-
-    def test_distinct_generators_distinct_entries(self, tmp_path):
-        family = gaussian_mean_family(1)
-        cache = ComplexityCache(tmp_path / "cache.csv")
-        for mu in (0.0, 1.0):
-            gen = family.model_at(ParameterVector([mu]))
-            fic_complexity(family, gen, 10, replicates=40, seed=72,
-                           cache=cache)
-        lines = (tmp_path / "cache.csv").read_text().splitlines()
-        assert lines[0] == \
-            "family_id,params_digest,N,replicates,seed,value,std_error"
-        assert len(lines) == 3
-
-    def test_digest_quantization(self):
-        a = params_digest(ParameterVector([1.0]))
-        b = params_digest(ParameterVector([1.0 + 1e-15]))
-        c = params_digest(ParameterVector([1.0 + 1e-6]))
-        assert a == b
-        assert a != c
-
-    def test_digest_includes_tags(self):
-        a = params_digest(ParameterVector([1.0], tags=(3,)))
-        b = params_digest(ParameterVector([1.0], tags=(4,)))
-        assert a != b

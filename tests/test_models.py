@@ -11,13 +11,16 @@ from hypothesis.extra.numpy import arrays
 
 from fickit.core import (Dataset, FitError, ParameterVector, replicate_rng,
                          shannon_information)
-from fickit.models import (exponential_family, fourier_indices,
-                           fourier_transform, gaussian_mean_family,
-                           greedy_fourier_family, greedy_piecewise_complexity,
-                           greedy_selection, inverse_fourier_transform,
+from fickit.models import (exponential_family, exponential_model,
+                           fixed_family, fourier_indices, fourier_transform,
+                           gaussian_mean_family, gaussian_mean_model,
+                           greedy_fourier_family, greedy_mask,
+                           greedy_piecewise_complexity, greedy_selection,
+                           inverse_fourier_transform,
                            linear_regression_family, linear_trend_family,
                            neutrino_mean, neutrino_truth,
-                           sequential_fourier_family, sine_regression_family)
+                           sequential_fourier_family, sine_regression_family,
+                           sine_regression_model)
 
 
 class TestGaussianMeanFamily:
@@ -203,6 +206,94 @@ class TestGreedySelection:
         a = greedy_selection(c, 5)
         b = greedy_selection(c.copy(), 5)
         assert np.array_equal(a, b)
+
+
+class TestGreedyMask:
+    @given(st.integers(0, 2**32), st.integers(1, 12), st.integers(1, 32),
+           st.integers(0, 1), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_greedy_selection_row_by_row(self, seed, rows, half,
+                                                 decimals, data):
+        # Rounded draws: many rows hold ties at the selection boundary.
+        N = 2 * half
+        c = np.round(np.random.default_rng([seed]).standard_normal(
+            (rows, N)) * 2.0, decimals)
+        n = data.draw(st.integers(0, N - 1))
+        mask = greedy_mask(c, n)
+        for row, got in zip(c, mask):
+            expected = np.zeros(N, dtype=bool)
+            expected[greedy_selection(row, n)] = True
+            assert np.array_equal(got, expected)
+        assert np.array_equal(greedy_mask(c[0], n), mask[0])
+
+    def test_tie_break_order(self):
+        c = np.zeros(8)
+        c[[2, 3, -2, -3]] = 2.0
+        assert list(np.flatnonzero(greedy_mask(c, 3))) == [0, 2, 3, 8 - 2]
+
+
+def _block_cases():
+    N = 24
+    design = np.column_stack([np.ones(N), np.linspace(0.0, 1.0, N)])
+    regression = linear_regression_family(design)
+    trend = linear_trend_family(N)
+    return [
+        (gaussian_mean_family(3), gaussian_mean_model([0.5, -1.0, 2.0])),
+        (regression, regression.model_at(ParameterVector([1.0, -2.0, 1.5]))),
+        (exponential_family(), exponential_model(1.5)),
+        (fixed_family(gaussian_mean_model([0.3])), gaussian_mean_model([0.0])),
+        (sequential_fourier_family(3, N), neutrino_truth(N)),
+        (greedy_fourier_family(5, N), neutrino_truth(N)),
+        (sine_regression_family(N), sine_regression_model(1.0, 0.8, N)),
+        (trend, trend.model_at(ParameterVector([0.5, 1.0]))),
+    ]
+
+
+class TestBlockFits:
+    """A fit to a block equals the fits to its rows, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "family, generator", _block_cases(),
+        ids=["gaussian_mean", "linear_regression", "exponential", "fixed",
+             "sequential_fourier", "greedy_fourier", "sine_regression",
+             "linear_trend"])
+    def test_block_fit_and_score_match_rows(self, family, generator):
+        N, R = 24, 6
+        rngs = [replicate_rng(61, r) for r in range(R)]
+        z = generator.sampler(N, rngs)
+        y = generator.sampler(N, rngs)
+        assert z.values.shape == (R, N)
+        fit = family.fit(z)
+        h_own = shannon_information(z, fit)
+        h_cross = shannon_information(y, fit)
+        # A fixed family's one model scores one dataset as a float.
+        h_one = np.broadcast_to(
+            shannon_information(Dataset(y.values[0]), fit), (R,))
+        coords = fit.params.coordinates
+        for r in range(R):
+            g = replicate_rng(61, r)
+            z_r = generator.sampler(N, g)
+            y_r = generator.sampler(N, g)
+            assert np.array_equal(z_r.values, z.values[r])
+            assert np.array_equal(y_r.values, y.values[r])
+            fit_r = family.fit(z_r)
+            assert h_own[r] == shannon_information(z_r, fit_r)
+            assert h_cross[r] == shannon_information(y_r, fit_r)
+            assert h_one[r] == shannon_information(
+                Dataset(y.values[0]), fit_r)
+            assert np.array_equal(
+                np.broadcast_to(coords, (R, coords.shape[-1]))[r],
+                fit_r.params.coordinates)
+            if fit_r.params.tags is not None:
+                assert fit.params.tags[r] == fit_r.params.tags
+
+    def test_block_logs_are_math_log(self):
+        # numpy's vectorised log may differ from math.log in the last
+        # bit, which would make a variance or rate fit to a block score
+        # differently from the same fit to one dataset.
+        from fickit.models import _log
+        x = np.random.default_rng([3]).uniform(0.1, 10.0, 5000)
+        assert np.array_equal(_log(x), [math.log(v) for v in x])
 
 
 class TestGreedyFamily:
