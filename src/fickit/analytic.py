@@ -15,7 +15,8 @@ import numpy as np
 
 from .core import (Dataset, FickitError, FittedModel, MonteCarloEstimate,
                    ParameterVector, derive_seed, kl_divergence_mc,
-                   kl_statistic, replicate_values, shannon_information)
+                   kl_statistic, replicate_values, shannon_information,
+                   unwrap)
 
 # Eigenvalues below this fraction of the largest are treated as
 # degenerate directions and pseudo-inverted.
@@ -159,11 +160,10 @@ def error_statistic_correlation(family, truth: FittedModel,
                              replicates, derive_seed(seed, 1)).value
     div_b = kl_divergence_mc(truth, model_b, truth, sample_size,
                              replicates, derive_seed(seed, 2)).value
-    ka, kb = replicate_values(
+    ka, kb = unwrap(replicate_values(
         truth.sampler, sample_size, replicates, seed,
-        lambda x: np.stack([div_a - kl_statistic(x, truth, model_a),
-                            div_b - kl_statistic(x, truth, model_b)],
-                           axis=-1)).T
+        [lambda x: div_a - kl_statistic(x, truth, model_a),
+         lambda x: div_b - kl_statistic(x, truth, model_b)]))
     if same:
         return 1.0
     if ka.std() == 0.0 or kb.std() == 0.0:
@@ -232,8 +232,9 @@ def information_landscape(family, truth: FittedModel, data: Dataset,
         raise ValueError("family does not expose model_at")
     a1 = grid.axis1.values()
     a2 = grid.axis2.values()
-    sims = Dataset(replicate_values(truth.sampler, data.sample_size,
-                                    replicates, seed, lambda y: y.values))
+    [sims] = unwrap(replicate_values(truth.sampler, data.sample_size,
+                                     replicates, seed, [lambda y: y.values]))
+    sims = Dataset(sims)
     h_truth_data = shannon_information(data, truth)
     h_truth_sims = shannon_information(sims, truth)
     d = np.full((a1.size, a2.size), np.nan)

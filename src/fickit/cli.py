@@ -21,10 +21,11 @@ import numpy as np
 from . import __version__
 from .analytic import (GridAxis, GridSpec, evt_complexity,
                        information_landscape, max_chi2_mc)
-from .core import (Dataset, FickitError, ParameterVector, derive_seed,
-                   replicate_rng, shannon_information)
-from .criteria import (aic, aicc_exponential, aicc_linear_regression, bic,
-                       fic_complexity, true_complexity_mc)
+from .core import (Dataset, FickitError, MonteCarloEstimate,
+                   ParameterVector, derive_seed, replicate_rng,
+                   shannon_information)
+from .criteria import (_complexity_replicates, aicc_exponential,
+                       aicc_linear_regression, fic_complexity)
 from .models import (exponential_model, fourier_indices, fourier_transform,
                      gaussian_mean_family, gaussian_mean_model,
                      exponential_family, greedy_fourier_family,
@@ -60,8 +61,9 @@ def _is_int(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    return ((_is_int(value) or isinstance(value, (float, np.floating)))
-            and math.isfinite(value))
+    if _is_int(value):                    # exact: no float conversion
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, (float, np.floating)) and math.isfinite(value)
 
 
 def _check(name: str, value, ok, expected: str) -> None:
@@ -236,6 +238,29 @@ def _family(algorithm: str, n: int, N: int):
     return greedy_fourier_family(n, N)
 
 
+def _complexities(pairs: dict, config: ExperimentConfig, stream: int,
+                  a_idx: int, failed: dict) -> dict:
+    """Monte Carlo complexity of the (family, generator) pair of each
+    level; a level whose pair fails goes into ``failed`` with its
+    ``FickitError`` instead. One seed per algorithm and stream: every
+    level is fit and scored on the same draws, so complexities couple
+    across n."""
+    if not pairs:
+        return {}
+    seed = derive_seed(config.seed, stream, a_idx)
+    results = _complexity_replicates(list(pairs.values()), config.sample_size,
+                                     config.replicates, seed)
+    estimates = {}
+    for n, result in zip(pairs, results):
+        if isinstance(result, FickitError):
+            failed[n] = result
+        elif isinstance(result, Exception):
+            raise result
+        else:
+            estimates[n] = MonteCarloEstimate.from_values(result, seed)
+    return estimates
+
+
 def cmd_sweep(config: ExperimentConfig) -> list:
     """Nested-model sweep over both selection algorithms: fit quality,
     closed-form and Monte Carlo complexities, criterion values."""
@@ -248,45 +273,50 @@ def cmd_sweep(config: ExperimentConfig) -> list:
     data = _neutrino_dataset(config)
     c_true = fourier_transform(neutrino_mean(N))
     c_data = fourier_transform(data)
+    gen_coeffs = c_true if config.truth_known else c_data
+    levels = range(config.n_min, config.n_max + 1)
     rows = []
     summary = []
     errors = 0
     for a_idx, algorithm in enumerate(config.algorithms):
-        fic_values = {}
-        for n in range(config.n_min, config.n_max + 1):
+        fits, failed = {}, {}           # a failed level keeps its first error
+        for n in levels:
             family = _family(algorithm, n, N)
             try:
                 fitted = family.fit(data)
-                h_fit = shannon_information(data, fitted)
-                k_aic = family.n_params
-                k_aic_naive = 2 * n + 1
-                k_bic = 0.5 * k_aic * math.log(N)
-                # one seed per algorithm: complexities couple across n
-                k_fic = fic_complexity(
-                    family, fitted, N, config.replicates,
-                    derive_seed(config.seed, _STREAM_FIC, a_idx))
-                if config.truth_known:
-                    k_true = true_complexity_mc(
-                        truth, family, N, config.replicates,
-                        derive_seed(config.seed, _STREAM_TRUE, a_idx))
-                    k_true_v, k_true_se = k_true.value, k_true.std_error
-                else:
-                    k_true_v = k_true_se = None
-                gen_coeffs = c_true if config.truth_known else c_data
-                if algorithm == "greedy":
-                    k_piece = greedy_piecewise_complexity(n, N, gen_coeffs)
-                else:
-                    k_piece = float(2 * n + 1)
-                fic_val = h_fit + k_fic.value
-                fic_values[n] = fic_val
-                rows.append((algorithm, n, h_fit, k_aic, k_bic,
-                             k_fic.value, k_fic.std_error,
-                             k_true_v, k_true_se, k_piece,
-                             fic_val, h_fit + k_aic, h_fit + k_bic,
-                             k_aic_naive, ""))
+                fits[n] = (family, fitted, shannon_information(data, fitted))
             except FickitError as exc:
+                failed[n] = exc
+        k_fic = _complexities({n: fit[:2] for n, fit in fits.items()},
+                              config, _STREAM_FIC, a_idx, failed)
+        k_true = {}
+        if config.truth_known:
+            k_true = _complexities({n: (fits[n][0], truth) for n in k_fic},
+                                   config, _STREAM_TRUE, a_idx, failed)
+        fic_values = {}
+        for n in levels:
+            if n in failed:
                 errors += 1
-                rows.append((algorithm, n) + (None,) * 12 + (str(exc),))
+                rows.append((algorithm, n) + (None,) * 12
+                            + (str(failed[n]),))
+                continue
+            family, _, h_fit = fits[n]
+            k_aic = family.n_params
+            k_aic_naive = 2 * n + 1
+            k_bic = 0.5 * k_aic * math.log(N)
+            k_true_v = k_true[n].value if n in k_true else None
+            k_true_se = k_true[n].std_error if n in k_true else None
+            if algorithm == "greedy":
+                k_piece = greedy_piecewise_complexity(n, N, gen_coeffs)
+            else:
+                k_piece = float(2 * n + 1)
+            fic_val = h_fit + k_fic[n].value
+            fic_values[n] = fic_val
+            rows.append((algorithm, n, h_fit, k_aic, k_bic,
+                         k_fic[n].value, k_fic[n].std_error,
+                         k_true_v, k_true_se, k_piece,
+                         fic_val, h_fit + k_aic, h_fit + k_bic,
+                         k_aic_naive, ""))
         if fic_values:
             best = min(fic_values, key=lambda k: (fic_values[k], k))
             summary.append((algorithm, best, fic_values[best]))
@@ -305,30 +335,41 @@ def cmd_sweep(config: ExperimentConfig) -> list:
 
 
 def _landscape_setup(config: ExperimentConfig):
+    """The landscape's family, its truth and the observed dataset."""
     N = config.sample_size
     params = ParameterVector(list(config.landscape_truth))
-    if config.landscape_family == "sine_singular":
-        family = sine_regression_family(N)
-        truth = sine_regression_model(params.coordinates[0],
-                                      params.coordinates[1], N)
-    elif config.landscape_family == "linear_regular":
-        family = linear_trend_family(N)
-        truth = family.model_at(params)
-    else:
+    if config.landscape_family not in ("sine_singular", "linear_regular"):
         raise UsageError(
             f"unknown landscape_family {config.landscape_family!r}")
-    return family, truth
+    try:
+        if config.landscape_family == "sine_singular":
+            family = sine_regression_family(N)
+            truth = sine_regression_model(params.coordinates[0],
+                                          params.coordinates[1], N)
+        else:
+            family = linear_trend_family(N)
+            truth = family.model_at(params)
+        data = truth.sampler(N, replicate_rng(
+            derive_seed(config.seed, _STREAM_DATA), 0))
+    except ValueError as exc:
+        raise UsageError(
+            f"landscape_family {config.landscape_family!r} at sample_size "
+            f"{N} and landscape_truth {list(config.landscape_truth)}: "
+            f"{exc}") from exc
+    return family, truth, data
 
 
 def cmd_landscape(config: ExperimentConfig) -> list:
     """Information-landscape surfaces and the profile minimized over
     the first axis."""
-    family, truth = _landscape_setup(config)
-    data = truth.sampler(config.sample_size,
-                         replicate_rng(derive_seed(config.seed,
-                                                   _STREAM_DATA), 0))
+    family, truth, data = _landscape_setup(config)
     grid = GridSpec(GridAxis(*config.grid_axis1),
                     GridAxis(*config.grid_axis2))
+    for name, axis in (("grid_axis1", grid.axis1), ("grid_axis2", grid.axis2)):
+        try:
+            axis.values()
+        except ValueError as exc:           # a num no array can hold
+            raise UsageError(f"{name}: {exc}") from exc
     grid_result = information_landscape(
         family, truth, data, grid, replicates=config.replicates,
         seed=derive_seed(config.seed, 3))
@@ -479,7 +520,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = _resolve_config(args)
         command, _ = _COMMANDS[args.command]
         paths = command(config)
-    except (UsageError, FileNotFoundError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OracleFailure as exc:

@@ -13,7 +13,7 @@ replicates a block at a time; see ``replicate_values``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -94,16 +94,24 @@ class Dataset:
         return int(self.values.shape[-1])
 
 
-def draw_rows(rng, draw: Callable[[np.random.Generator], np.ndarray]):
-    """``draw(rng)`` for one Generator; for a sequence of Generators, a
-    block with one row drawn from each, in order.
+def draw_rows(rng, law: str, n: int, *args) -> np.ndarray:
+    """``getattr(rng, law)(*args, size=n)`` for one Generator; for a
+    sequence of Generators, one (rows, n) block with row i drawn from
+    the i-th, in order.
 
-    Samplers draw through this, so that a model fit to one dataset can
-    sample a whole block, each row from its own replicate stream.
+    A law without arguments (a standard distribution) draws each row
+    straight into the block; one with arguments (``"choice"`` from an
+    array of values) copies each row in.
     """
     if isinstance(rng, np.random.Generator):
-        return draw(rng)
-    return np.stack([draw(g) for g in rng])
+        return getattr(rng, law)(*args, size=n)
+    block = np.empty((len(rng), n))
+    for g, row in zip(rng, block):
+        if args:
+            row[:] = getattr(g, law)(*args, size=n)
+        else:
+            getattr(g, law)(out=row)
+    return block
 
 
 @dataclass(frozen=True)
@@ -144,15 +152,23 @@ class FittedModel:
     ``log_density`` maps a Dataset to its log density in nats, one
     value per row. A model fit to a block scores row r under the fit to
     row r; a model fit to one dataset scores every row under that fit.
-    ``sampler(sample_size, rng)`` draws a Dataset of exactly that size
-    from a Generator, or a block with one row per Generator from a
-    sequence of them.
+
+    ``noise`` names the Generator method that draws the model's
+    standard noise, and ``from_noise`` maps an (N,) noise array, or an
+    (R, N) block of them, to data. ``from_noise`` never writes into its
+    argument, so models with one noise law can share one draw.
     """
 
     params: ParameterVector
     log_density: Callable[[Dataset], np.ndarray]
-    sampler: Callable[[int, np.random.Generator], Dataset]
+    from_noise: Callable[[np.ndarray], Dataset]
+    noise: str = "standard_normal"
     label: str = ""
+
+    def sampler(self, sample_size: int, rng) -> Dataset:
+        """A Dataset of exactly ``sample_size`` drawn from a Generator,
+        or a block with one row per Generator of a sequence of them."""
+        return self.from_noise(draw_rows(rng, self.noise, sample_size))
 
 
 @dataclass(frozen=True)
@@ -179,42 +195,76 @@ class MonteCarloEstimate:
                    replicates=n, seed=int(seed))
 
 
-def replicate_values(sampler, sample_size: int, replicates: int, seed: int,
-                     statistic: Callable[..., np.ndarray],
-                     draws: int = 1) -> np.ndarray:
-    """Values of ``statistic`` over Monte Carlo replicates
-    0..replicates-1, as an array with one row per replicate.
+def replicate_values(draw, sample_size: int, replicates: int, seed: int,
+                     statistics: Sequence[Callable[..., np.ndarray]],
+                     draws: int = 1) -> list:
+    """Values of each statistic over Monte Carlo replicates
+    0..replicates-1.
 
-    Replicate r draws ``draws`` datasets of ``sample_size`` in turn from
-    the stream ``replicate_rng(seed, r)`` through
-    ``sampler(sample_size, rngs)``. Replicates run in chunks of at most
-    ``BLOCK_BYTES`` per (rows x N) array: a chunk draws one block per
-    draw, row i from stream start + i, and ``statistic(*blocks)``
-    returns one value (or one row of values) per block row. A value
-    therefore does not depend on the replicate count or on the chunks.
-    A failure names its replicate and seed; a ``FickitError`` keeps its
-    type, any other ``ValueError`` becomes a plain one.
+    Replicate r draws ``draws`` blocks in turn from the stream
+    ``replicate_rng(seed, r)`` through ``draw(sample_size, rngs)``.
+    Replicates run in chunks of at most ``BLOCK_BYTES`` per
+    (rows x N) array: a chunk builds its streams and draws its blocks
+    once, row i from stream start + i, and each statistic maps the
+    blocks to one value (or one row of values) per block row. A value
+    therefore depends neither on the replicate count, nor on the
+    chunks, nor on the other statistics.
+
+    Returns one entry per statistic: an array with one row per
+    replicate, or the error that stopped the statistic. The error names
+    its replicate and seed; a ``FickitError`` keeps its type, and any
+    other ``ValueError`` becomes a plain one. A failed statistic is not
+    evaluated again while the others go on; a failed draw fails every
+    statistic still running. ``unwrap`` raises the first failure.
     """
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
     rows = max(1, BLOCK_BYTES // (8 * int(sample_size)))
-    out = None
+    out = [None] * len(statistics)
     for start in range(0, replicates, rows):
+        live = [i for i, o in enumerate(out) if not isinstance(o, Exception)]
+        if not live:
+            break
         stop = min(start + rows, replicates)
         rngs = [replicate_rng(seed, r) for r in range(start, stop)]
         try:
-            blocks = [sampler(sample_size, rngs) for _ in range(draws)]
-            values = np.asarray(statistic(*blocks), dtype=float)
+            blocks = [draw(sample_size, rngs) for _ in range(draws)]
         except (FickitError, ValueError) as exc:
-            where = f"replicates {start}..{stop - 1}"
-            if stop - start == 1 or hasattr(exc, "row"):
-                where = f"replicate {start + getattr(exc, 'row', 0)}"
-            cls = type(exc) if isinstance(exc, FickitError) else ValueError
-            raise cls(f"{where} (seed {seed}) failed: {exc}") from exc
-        if out is None:
-            out = np.empty((replicates,) + values.shape[1:])
-        out[start:stop] = values
+            for i in live:
+                out[i] = _replicate_error(exc, start, stop, seed)
+            break
+        for i in live:
+            try:
+                values = np.asarray(statistics[i](*blocks), dtype=float)
+            except (FickitError, ValueError) as exc:
+                out[i] = _replicate_error(exc, start, stop, seed)
+                continue
+            if out[i] is None:
+                out[i] = np.empty((replicates,) + values.shape[1:])
+            out[i][start:stop] = values
     return out
+
+
+def _replicate_error(exc: Exception, start: int, stop: int,
+                     seed: int) -> Exception:
+    """``exc`` from replicates start..stop-1, retold with the failing
+    replicate (the chunk when no row is known) and the seed."""
+    where = f"replicates {start}..{stop - 1}"
+    if stop - start == 1 or hasattr(exc, "row"):
+        where = f"replicate {start + getattr(exc, 'row', 0)}"
+    cls = type(exc) if isinstance(exc, FickitError) else ValueError
+    error = cls(f"{where} (seed {seed}) failed: {exc}")
+    error.__cause__ = exc
+    return error
+
+
+def unwrap(results: list) -> list:
+    """``replicate_values`` results as arrays; raises the first failure
+    among them."""
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
 
 
 def shannon_information(data: Dataset, model: FittedModel):
@@ -233,8 +283,9 @@ def cross_entropy_mc(truth_sampler: FittedModel, eval_model: FittedModel,
                      seed: int) -> MonteCarloEstimate:
     """Monte Carlo estimate of the expected information of fresh data
     from ``truth_sampler`` scored under ``eval_model``."""
-    vals = replicate_values(truth_sampler.sampler, sample_size, replicates,
-                            seed, lambda y: shannon_information(y, eval_model))
+    [vals] = unwrap(replicate_values(
+        truth_sampler.sampler, sample_size, replicates, seed,
+        [lambda y: shannon_information(y, eval_model)]))
     return MonteCarloEstimate.from_values(vals, seed)
 
 
@@ -257,8 +308,9 @@ def kl_divergence_mc(theta0: FittedModel, theta: FittedModel,
     under both models, which sharply reduces the variance of the
     difference.
     """
-    vals = replicate_values(truth_sampler.sampler, sample_size, replicates,
-                            seed, lambda y: kl_statistic(y, theta0, theta))
+    [vals] = unwrap(replicate_values(
+        truth_sampler.sampler, sample_size, replicates, seed,
+        [lambda y: kl_statistic(y, theta0, theta)]))
     return MonteCarloEstimate.from_values(vals, seed)
 
 

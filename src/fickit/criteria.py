@@ -16,7 +16,7 @@ import numpy as np
 from .analytic import FisherMatrix
 from .core import (Dataset, FickitError, FittedModel, MonteCarloEstimate,
                    ParameterVector, StructuredDataError, draw_rows,
-                   replicate_values, shannon_information)
+                   replicate_values, shannon_information, unwrap)
 
 Complexity = Union[float, MonteCarloEstimate, None]
 
@@ -39,26 +39,6 @@ class CriterionReport:
         if isinstance(self.complexity, MonteCarloEstimate):
             return self.complexity.value
         return float(self.complexity)
-
-
-@dataclass(frozen=True)
-class ComplexityCurve:
-    """Complexity as a function of nesting index for one criterion."""
-
-    nesting_indices: tuple
-    complexities: tuple
-    criterion_kind: str
-    sample_size: int
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.nesting_indices)
-        vals = tuple(float(v) for v in self.complexities)
-        if len(idx) != len(vals):
-            raise ValueError("index and complexity sequences differ in length")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError("nesting indices must be strictly increasing")
-        object.__setattr__(self, "nesting_indices", idx)
-        object.__setattr__(self, "complexities", vals)
 
 
 def _report(label, kind, h, complexity, n_params) -> CriterionReport:
@@ -96,29 +76,49 @@ def aicc_exponential(N: int) -> float:
     return N / (N - 1)
 
 
-def _complexity_replicates(family, generator: FittedModel, sample_size: int,
-                           replicates: int, seed: int) -> np.ndarray:
-    """Per-replicate out-of-sample minus in-sample information of the
-    fitted family under the generator.
+def _complexity_replicates(pairs: Sequence, sample_size: int,
+                           replicates: int, seed: int) -> list:
+    """Per-replicate out-of-sample minus in-sample information of each
+    fitted family under its generator: one entry per (family,
+    generator) pair, an array with one value per replicate, or the
+    error that failed the pair (see ``replicate_values``).
 
-    Each replicate draws two datasets Z, Y from the generator, runs the
-    full fitting algorithm on each, and averages the generalization gap
-    both ways. The symmetrization leaves the expectation unchanged
-    (Z and Y are exchangeable) and cancels the generator's shared-signal
-    noise, cutting the variance by orders of magnitude for structured
-    generators. Replicates are drawn, fit and scored a block at a time.
+    Each replicate draws two noise blocks Z, Y from its stream once;
+    every pair maps them to data through its generator's
+    ``from_noise``, runs the full fitting algorithm on each, and
+    averages the generalization gap both ways. The symmetrization
+    leaves the expectation unchanged (Z and Y are exchangeable) and
+    cancels the generator's shared-signal noise, cutting the variance by
+    orders of magnitude for structured generators. A pair's values are
+    those it gives alone: the pairs share the draws, so they must share
+    the generators' noise law.
     """
-    def gap(z: Dataset, y: Dataset) -> np.ndarray:
-        fit_z = family.fit(z)
-        fit_y = family.fit(y)
-        gap_z = (shannon_information(y, fit_z)
-                 - shannon_information(z, fit_z))
-        gap_y = (shannon_information(z, fit_y)
-                 - shannon_information(y, fit_y))
-        return 0.5 * (gap_z + gap_y)
+    laws = {generator.noise for _, generator in pairs}
+    if len(laws) != 1:
+        raise ValueError(f"complexity pairs must share one noise law, "
+                         f"got {sorted(laws)}")
+    law = laws.pop()
 
-    return replicate_values(generator.sampler, sample_size, replicates, seed,
-                            gap, draws=2)
+    def draw(n: int, rngs) -> np.ndarray:
+        noise = draw_rows(rngs, law, n)
+        noise.setflags(write=False)             # shared by every pair
+        return noise
+
+    def gap_of(family, generator: FittedModel):
+        def gap(z_noise: np.ndarray, y_noise: np.ndarray) -> np.ndarray:
+            z = generator.from_noise(z_noise)
+            y = generator.from_noise(y_noise)
+            fit_z = family.fit(z)
+            fit_y = family.fit(y)
+            gap_z = (shannon_information(y, fit_z)
+                     - shannon_information(z, fit_z))
+            gap_y = (shannon_information(z, fit_y)
+                     - shannon_information(y, fit_y))
+            return 0.5 * (gap_z + gap_y)
+        return gap
+
+    return replicate_values(draw, sample_size, replicates, seed,
+                            [gap_of(f, g) for f, g in pairs], draws=2)
 
 
 def fic_complexity(family, generator: FittedModel, sample_size: int,
@@ -126,8 +126,8 @@ def fic_complexity(family, generator: FittedModel, sample_size: int,
                    ) -> MonteCarloEstimate:
     """Monte Carlo complexity of the family under a candidate generator:
     the expected generalization gap of the fully refit model."""
-    vals = _complexity_replicates(family, generator, sample_size,
-                                  replicates, seed)
+    [vals] = unwrap(_complexity_replicates([(family, generator)],
+                                           sample_size, replicates, seed))
     return MonteCarloEstimate.from_values(vals, seed)
 
 
@@ -136,8 +136,8 @@ def true_complexity_mc(truth: FittedModel, family, sample_size: int,
                        ) -> MonteCarloEstimate:
     """Oracle complexity: same computation as ``fic_complexity`` but
     generated from the known simulation truth."""
-    vals = _complexity_replicates(family, truth, sample_size,
-                                  replicates, seed)
+    [vals] = unwrap(_complexity_replicates([(family, truth)], sample_size,
+                                           replicates, seed))
     return MonteCarloEstimate.from_values(vals, seed)
 
 
@@ -173,13 +173,12 @@ def bootstrap_complexity(data: Dataset, family, mode: str,
     h_x = shannon_information(data, fit_x)
 
     def resample(n: int, rng) -> Dataset:
-        return Dataset(draw_rows(
-            rng, lambda g: g.choice(data.values, size=n, replace=True)))
+        return Dataset(draw_rows(rng, "choice", n, data.values))
 
-    vals = replicate_values(
+    [vals] = unwrap(replicate_values(
         fit_x.sampler if mode == "parametric" else resample,
         data.sample_size, replicates, seed,
-        lambda y: 2.0 * (shannon_information(data, family.fit(y)) - h_x))
+        [lambda y: 2.0 * (shannon_information(data, family.fit(y)) - h_x)]))
     return MonteCarloEstimate.from_values(vals, seed)
 
 
@@ -232,10 +231,9 @@ def fic_complexity_gradient(family, theta_hat: ParameterVector,
         minus[i] -= step
         gen_p = family.model_at(ParameterVector(plus, tags=theta_hat.tags))
         gen_m = family.model_at(ParameterVector(minus, tags=theta_hat.tags))
-        v_p = _complexity_replicates(family, gen_p, sample_size,
-                                     replicates, seed)
-        v_m = _complexity_replicates(family, gen_m, sample_size,
-                                     replicates, seed)
+        v_p, v_m = unwrap(_complexity_replicates(
+            [(family, gen_p), (family, gen_m)], sample_size, replicates,
+            seed))
         diffs = (v_p - v_m) / (2.0 * step)
         grad[i] = diffs.mean()
         grad_se[i] = diffs.std(ddof=1) / math.sqrt(replicates)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .analytic import FisherMatrix
 from .core import (Dataset, FitError, FittedModel, ParameterVector,
-                   draw_rows, row_error)
+                   row_error)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -101,11 +101,10 @@ def _normal_model(params: ParameterVector,
         np.square(sq, out=sq)
         return -0.5 * n * log_norm - 0.5 * sq.sum(axis=-1) / variance
 
-    def sampler(n: int, rng) -> Dataset:
-        return Dataset(mean_at(n) + sd * draw_rows(
-            rng, lambda g: g.standard_normal(n)))
+    def from_noise(noise: np.ndarray) -> Dataset:
+        return Dataset(mean_at(noise.shape[-1]) + sd * noise)
 
-    return FittedModel(params, log_density, sampler, label)
+    return FittedModel(params, log_density, from_noise, label=label)
 
 
 def gaussian_mean_model(means: np.ndarray, label: str = "") -> FittedModel:
@@ -217,11 +216,11 @@ def exponential_model(rate) -> FittedModel:
         logpdf = data.sample_size * log_rate - rate * x.sum(axis=-1)
         return np.where((x <= 0.0).any(axis=-1), -np.inf, logpdf)
 
-    def sampler(n: int, rng) -> Dataset:
-        return Dataset(scale * draw_rows(
-            rng, lambda g: g.standard_exponential(n)))
+    def from_noise(noise: np.ndarray) -> Dataset:
+        return Dataset(scale * noise)
 
-    return FittedModel(ParameterVector(rate[..., None]), log_density, sampler)
+    return FittedModel(ParameterVector(rate[..., None]), log_density,
+                       from_noise, "standard_exponential")
 
 
 def exponential_family() -> ModelFamily:

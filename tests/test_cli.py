@@ -1,16 +1,23 @@
 """Command-line surface: config handling, CSV output, determinism, and
 exit codes."""
 
+import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fickit.cli import (DEFAULT_SEED, EXIT_OK, EXIT_ORACLE, EXIT_USAGE,
-                        ExperimentConfig, UsageError, cmd_evt_table,
-                        cmd_landscape, cmd_simulate, cmd_sweep, main,
-                        write_csv)
+from fickit import cli
+from fickit.cli import (DEFAULT_SEED, EXIT_NUMERICAL, EXIT_OK, EXIT_ORACLE,
+                        EXIT_USAGE, ExperimentConfig, UsageError,
+                        cmd_evt_table, cmd_landscape, cmd_simulate, cmd_sweep,
+                        main, write_csv)
+from fickit.core import FitError, derive_seed
 from fickit.models import neutrino_mean
 
 
@@ -54,8 +61,9 @@ class TestExperimentConfig:
         ("landscape", "landscape", "grid_axis1", [-1.5, 1.5]),
         ("evt-table", "evt_table", "evt_m_values", [0]),
         ("sweep", "neutrino_sweep", "algorithms", "greedy"),
+        ("landscape", "landscape", "landscape_truth", [10 ** 400, 0.9]),
     ], ids=["sample_size_string", "replicates_float", "grid_axis_short",
-            "evt_m_zero", "algorithms_string"])
+            "evt_m_zero", "algorithms_string", "landscape_truth_huge_int"])
     def test_bad_field_is_usage_error(self, tmp_path, capsys, command,
                                       experiment, field, value):
         path = tmp_path / "config.json"
@@ -161,6 +169,45 @@ class TestSweep:
         assert all(r["K_true"] == "" and r["K_true_stderr"] == ""
                    for r in rows)
 
+    @pytest.mark.parametrize("where", ["data", "replicates"])
+    def test_failing_level_fails_only_its_row(self, tmp_path, monkeypatch,
+                                              where):
+        config = ExperimentConfig(experiment="neutrino_sweep",
+                                  sample_size=20, replicates=30, n_max=3,
+                                  out_dir=str(tmp_path / "clean"))
+        clean = cmd_sweep(config)[0].read_text().splitlines()
+        family_of = cli._family
+
+        def faulty(algorithm, n, N):
+            family = family_of(algorithm, n, N)
+            if (algorithm, n) != ("greedy", 1):
+                return family
+
+            def fit(data):
+                if where == "replicates" and data.values.ndim == 1:
+                    return family.fit(data)
+                raise FitError("injected")
+            return dataclasses.replace(family, fit=fit)
+
+        monkeypatch.setattr(cli, "_family", faulty)
+        config = dataclasses.replace(config, out_dir=str(tmp_path / "bad"))
+        faulty_lines = cmd_sweep(config)[0].read_text().splitlines()
+        failed = [i for i, (a, b) in enumerate(zip(clean, faulty_lines))
+                  if a != b]
+        assert len(faulty_lines) == len(clean)
+        assert len(failed) == 1
+        row = faulty_lines[failed[0]].split(",")
+        assert row[:2] == ["greedy", "1"]
+        assert row[2:-1] == [""] * 12
+        if where == "data":
+            assert row[-1] == "injected"
+        else:
+            # Failed in the complexity replicates, named as a one-level
+            # engine call names it.
+            seed = derive_seed(config.seed, 1, 1)      # K_fic, greedy
+            assert row[-1] == f"replicates 0..29 (seed {seed}) failed: " \
+                "injected"
+
     def test_n_max_out_of_range(self, tmp_path):
         config = ExperimentConfig(experiment="neutrino_sweep",
                                   sample_size=10, replicates=10, n_max=8,
@@ -184,6 +231,33 @@ class TestLandscape:
         header, prof = _read_rows(prof_path)
         assert header == ["theta2", "d_profile", "D_profile"]
         assert len(prof) == 17
+
+    @pytest.mark.parametrize("family", ["sine_singular", "linear_regular"])
+    def test_overflowing_truth_is_usage_error(self, tmp_path, family):
+        # The truth's data overflow to inf or nan at these parameters.
+        config = ExperimentConfig(
+            experiment="landscape", sample_size=10, replicates=4,
+            landscape_family=family, landscape_truth=(1e308, 1e308),
+            grid_axis1=(0.0, 1.0, 2), grid_axis2=(0.3, 1.0, 2),
+            out_dir=str(tmp_path))
+        with pytest.raises(UsageError, match="landscape_truth"):
+            cmd_landscape(config)
+
+    def test_too_few_points_for_the_family(self, tmp_path):
+        config = ExperimentConfig(
+            experiment="landscape", sample_size=2, replicates=4,
+            landscape_family="linear_regular", grid_axis1=(0.0, 1.0, 2),
+            grid_axis2=(0.3, 1.0, 2), out_dir=str(tmp_path))
+        with pytest.raises(UsageError, match="sample_size 2"):
+            cmd_landscape(config)
+
+    def test_grid_too_large_for_an_array(self, tmp_path):
+        config = ExperimentConfig(
+            experiment="landscape", sample_size=10, replicates=4,
+            grid_axis1=(0.0, 1.0, 10 ** 400), grid_axis2=(0.3, 1.0, 2),
+            out_dir=str(tmp_path))
+        with pytest.raises(UsageError, match="grid_axis1"):
+            cmd_landscape(config)
 
     def test_deterministic_bytes(self, tmp_path):
         for d in ("a", "b"):
@@ -250,6 +324,18 @@ class TestMain:
         meta = (tmp_path / "out" / "data.csv").read_text().splitlines()
         assert "# seed = 5" in meta
 
+    def test_out_dir_is_a_file(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        code = main(["simulate", "--out", str(tmp_path / "taken")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_out_dir_below_a_file(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        code = main(["simulate", "--out", str(tmp_path / "taken" / "sub")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_oracle_suite_passes(self, tmp_path, capsys):
         code = main(["oracle-suite", "--replicates", "400",
                      "--out", str(tmp_path)])
@@ -267,3 +353,107 @@ class TestMain:
             assert code == EXIT_OK
         assert (tmp_path / "a" / "evt.csv").read_bytes() == \
             (tmp_path / "b" / "evt.csv").read_bytes()
+
+
+# -- config fuzzing ----------------------------------------------------------
+
+_EXPERIMENTS = {"simulate": "simulate", "sweep": "neutrino_sweep",
+                "landscape": "landscape", "oracle-suite": "oracle_suite",
+                "evt-table": "evt_table"}
+_HUGE = [1e308, -1e308, 10 ** 400]      # 10 ** 400 overflows a float
+_WRONG = ["10", None, True, [], {}]
+
+
+def _mixed(valid, invalid):
+    """``valid`` nine times in ten, else one of ``invalid``."""
+    return st.integers(0, 9).flatmap(
+        lambda i: st.sampled_from(invalid) if i == 9 else valid)
+
+
+_REALS = st.sampled_from([0.0, 0.9, -1.5, 1e-308] + _HUGE)
+_GRID = st.lists(_REALS, min_size=2, max_size=2).flatmap(
+    lambda ends: _mixed(st.sampled_from([2, 3]), [0, 1, 2.5, "3"]).map(
+        lambda num: ends + [num]))
+
+# Every field that sets the amount of work is always present and tiny
+# (sample_size <= 20, replicates <= 4, at most 3 grid points per axis);
+# the rest may be missing, wrong, out of range or huge.
+_ALWAYS = {
+    "sample_size": _mixed(st.sampled_from([2, 4, 6, 10, 20]),
+                          [-2, 0, 1, 3, 4.0] + _HUGE[:1] + _WRONG),
+    "replicates": _mixed(st.integers(2, 4),
+                         [-1, 0, 1, 2.5] + _HUGE[:1] + _WRONG),
+    "grid_axis1": _mixed(_GRID, [[0.0, 1.0], "grid", [0.0, 1.0, 10 ** 400]]),
+    "grid_axis2": _mixed(_GRID, [[0.0, 1.0, 2, 3], [math.inf, 1.0, 2]]),
+    "evt_m_values": _mixed(st.lists(st.integers(1, 50), max_size=3),
+                           [[0], [-3], [1.5], "10", [True]]),
+    "evt_nu_values": _mixed(st.lists(st.integers(1, 3), max_size=3),
+                            [[0], [2.0], 2]),
+}
+_OPTIONAL = {
+    "seed": _mixed(st.integers(-2 ** 70, 2 ** 70), [1.5] + _HUGE + _WRONG),
+    "n_min": _mixed(st.integers(0, 3), [-1, 0.5] + _HUGE + _WRONG),
+    "n_max": _mixed(st.integers(0, 9), [-1, 0.5] + _HUGE + _WRONG),
+    "algorithms": _mixed(
+        st.lists(st.sampled_from(["sequential", "greedy"]), max_size=2,
+                 unique=True),
+        ["greedy", ["bogus"], [1]]),
+    "truth_known": _mixed(st.booleans(), [0, "yes", None]),
+    "landscape_family": st.sampled_from(
+        ["sine_singular", "linear_regular", "bogus", 3]),
+    "landscape_truth": _mixed(st.lists(_REALS, min_size=2, max_size=2),
+                              [[0.0], [math.inf, 0.9], [math.nan, 0.0],
+                               "0.9", [0.0, 0.9, 1.0]]),
+    "out_dir": st.sampled_from(["OUT", "FILE", "FILE/sub", 5]),
+    "bogus_key": st.just(1),
+}
+
+
+@st.composite
+def _configs(draw):
+    # The oracle suite always simulates 20,000 chi-squared maxima of
+    # m = 1000 (about 2 s), so it is drawn less often.
+    command = draw(st.sampled_from(
+        ["simulate", "sweep", "landscape", "evt-table"] * 3
+        + ["oracle-suite"]))
+    raw = {name: draw(value) for name, value in _ALWAYS.items()}
+    for name in draw(st.sets(st.sampled_from(sorted(_OPTIONAL)))):
+        raw[name] = draw(_OPTIONAL[name])
+    raw["experiment"] = draw(_mixed(st.just(_EXPERIMENTS[command]),
+                                    ["evt_table", "bogus", None]))
+    return command, raw
+
+
+class TestConfigFuzz:
+    @given(_configs())
+    @example(("simulate", {"experiment": "simulate", "sample_size": 4,
+                           "replicates": 2, "out_dir": "FILE"}))
+    @example(("simulate", {"experiment": "simulate", "sample_size": 4,
+                           "replicates": 2, "out_dir": "FILE/sub"}))
+    @example(("landscape", {"experiment": "landscape", "sample_size": 4,
+                            "replicates": 2,
+                            "landscape_family": "sine_singular",
+                            "landscape_truth": [1e308, 1e308],
+                            "grid_axis1": [0.0, 1.0, 2],
+                            "grid_axis2": [0.3, 1.0, 2]}))
+    @example(("landscape", {"experiment": "landscape", "sample_size": 4,
+                            "replicates": 2,
+                            "landscape_family": "linear_regular",
+                            "landscape_truth": [1e308, 1e308],
+                            "grid_axis1": [0.0, 1.0, 2],
+                            "grid_axis2": [0.3, 1.0, 2]}))
+    @settings(max_examples=100, deadline=None)
+    def test_main_ends_with_an_exit_code(self, case):
+        command, raw = case
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "FILE").write_text("")
+            places = {"OUT": tmp / "out", "FILE": tmp / "FILE",
+                      "FILE/sub": tmp / "FILE" / "sub"}
+            out = raw.get("out_dir", "OUT")
+            raw = dict(raw, out_dir=str(places[out]) if out in places
+                       else out)
+            path = tmp / "config.json"
+            path.write_text(json.dumps(raw))
+            code = main([command, "--config", str(path)])
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL, EXIT_ORACLE)

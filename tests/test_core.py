@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from fickit.core import (Dataset, DensityError, FitError, FittedModel,
                          MonteCarloEstimate, ParameterVector, cross_entropy_mc,
                          error_statistic, kl_divergence_mc, kl_statistic,
-                         replicate_rng, replicate_values, shannon_information)
+                         replicate_rng, replicate_values, shannon_information,
+                         unwrap)
 from fickit.criteria import true_complexity_mc
 from fickit.models import exponential_family, exponential_model, \
     gaussian_mean_family, gaussian_mean_model
@@ -121,7 +122,7 @@ class TestShannonInformation:
         # Same density, different parameter bookkeeping: h is unchanged.
         base = gaussian_mean_model([0.5])
         relabeled = FittedModel(ParameterVector([1.0]), base.log_density,
-                                base.sampler)
+                                base.from_noise)
         data = Dataset([0.1, 0.9, -0.4, 1.3])
         assert shannon_information(data, base) == \
             shannon_information(data, relabeled)
@@ -170,18 +171,39 @@ class TestReplicateValues:
                      .sampler(n, replicate_rng(seed, r)).values <= 0).any())
         with pytest.raises(FitError,
                            match=rf"^replicate {first} \(seed {seed}\)"):
-            replicate_values(
+            unwrap(replicate_values(
                 gaussian_mean_model([0.0]).sampler, n, 100, seed,
-                lambda y: shannon_information(y, exponential_family().fit(y)))
+                [lambda y: shannon_information(y,
+                                               exponential_family().fit(y))]))
 
     def test_rows_follow_streams(self):
         model = gaussian_mean_model([0.0])
-        values = replicate_values(model.sampler, 4, 10, 9,
-                                  lambda z, y: y.values, draws=2)
+        [values] = replicate_values(model.sampler, 4, 10, 9,
+                                    [lambda z, y: y.values], draws=2)
         for r in range(10):
             rng = replicate_rng(9, r)
             model.sampler(4, rng)
             assert np.array_equal(values[r], model.sampler(4, rng).values)
+
+    def test_failed_statistic_leaves_the_others(self):
+        model = gaussian_mean_model([0.0])
+
+        def fails_late(y):
+            if y.values.shape[0] < 163:         # the last, short chunk
+                raise DensityError("late")
+            return y.values[:, 0]
+
+        first, failed, last = replicate_values(
+            model.sampler, 100, 200, 9,
+            [lambda y: y.values[:, 0], fails_late, lambda y: y.values[:, 1]])
+        [alone] = replicate_values(model.sampler, 100, 200, 9,
+                                   [lambda y: y.values[:, 1]])
+        assert isinstance(failed, DensityError)
+        assert str(failed) == "replicates 163..199 (seed 9) failed: late"
+        assert np.array_equal(last, alone)
+        assert first.shape == (200,)
+        with pytest.raises(DensityError, match="^replicates 163"):
+            unwrap([first, failed, last])
 
 
 class TestKLStatistic:

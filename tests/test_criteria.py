@@ -1,24 +1,25 @@
 """Information criteria: closed forms, Monte Carlo complexities,
 bootstrap, leave-one-out validation, and ranking."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from fickit.core import (Dataset, FickitError, ParameterVector,
+from fickit.core import (Dataset, FickitError, FitError, ParameterVector,
                          StructuredDataError, replicate_rng,
                          shannon_information)
-from fickit.criteria import (ComplexityCurve, CriterionReport, aic,
-                             aicc_exponential, aicc_linear_regression, bic,
+from fickit.criteria import (CriterionReport, aic, aicc_exponential,
+                             aicc_linear_regression, bic,
                              bootstrap_complexity, fic, fic_complexity,
                              fic_complexity_gradient, fic_variance_estimate,
                              loocv, rank_models, true_complexity_mc)
-from fickit.models import (exponential_family, fixed_family,
-                           gaussian_mean_family, gaussian_mean_model,
-                           greedy_fourier_family, linear_regression_family,
-                           neutrino_truth, sequential_fourier_family,
-                           sine_regression_family)
+from fickit.models import (exponential_family, exponential_model,
+                           fixed_family, gaussian_mean_family,
+                           gaussian_mean_model, greedy_fourier_family,
+                           linear_regression_family, neutrino_truth,
+                           sequential_fourier_family, sine_regression_family)
 
 
 def _gaussian_data(n, seed, mean=0.0):
@@ -35,8 +36,8 @@ class TestComplexityReplicates:
         assert BLOCK_BYTES // (8 * N) < 40
         family = greedy_fourier_family(3, N)
         truth = neutrino_truth(N)
-        short = _complexity_replicates(family, truth, N, 40, seed=91)
-        long = _complexity_replicates(family, truth, N, 100, seed=91)
+        [short] = _complexity_replicates([(family, truth)], N, 40, seed=91)
+        [long] = _complexity_replicates([(family, truth)], N, 100, seed=91)
         assert np.array_equal(short, long[:40])
         # Each value is the replicate's own two-dataset gap.
         for r in (0, 17, 39):
@@ -49,6 +50,100 @@ class TestComplexityReplicates:
                          + (shannon_information(z, fit_y)
                             - shannon_information(y, fit_y)))
             assert short[r] == gap
+
+
+def _gradient_pair(family, theta, i, step):
+    plus = np.array(theta.coordinates)
+    minus = np.array(theta.coordinates)
+    plus[i] += step
+    minus[i] -= step
+    return (family.model_at(ParameterVector(plus)),
+            family.model_at(ParameterVector(minus)))
+
+
+class TestSharedPairs:
+    """Pairs sharing one call of ``_complexity_replicates`` give what
+    each gives alone, bit for bit."""
+
+    @staticmethod
+    def _assert_columns_equal_single_calls(pairs, N, R, seed):
+        from fickit.criteria import _complexity_replicates
+        shared = _complexity_replicates(pairs, N, R, seed)
+        assert len(shared) == len(pairs)
+        for pair, column in zip(pairs, shared):
+            [alone] = _complexity_replicates([pair], N, R, seed)
+            assert column.shape == (R,)
+            assert np.array_equal(column, alone)
+
+    @pytest.mark.parametrize("make", [sequential_fourier_family,
+                                      greedy_fourier_family])
+    def test_levels_under_truth_and_level_fits(self, make):
+        # At N=100 a chunk holds 163 rows, so R=200 spans two chunks.
+        N, R = 100, 200
+        truth = neutrino_truth(N)
+        data = truth.sampler(N, replicate_rng(93, 0))
+        families = [make(n, N) for n in range(4)]
+        self._assert_columns_equal_single_calls(
+            [(f, truth) for f in families], N, R, 94)
+        self._assert_columns_equal_single_calls(
+            [(f, f.fit(data)) for f in families], N, R, 95)
+
+    def test_linear_regression_gradient_pair(self):
+        N = 12
+        t = np.linspace(0.0, 1.0, N)
+        family = linear_regression_family(np.column_stack([np.ones(N), t]))
+        theta = ParameterVector([0.5, -1.0, 2.0])
+        for i in range(3):
+            self._assert_columns_equal_single_calls(
+                [(family, g) for g in _gradient_pair(family, theta, i, 0.1)],
+                N, 60, 96)
+
+    def test_exponential_gradient_pair(self):
+        family = exponential_family()
+        pair = _gradient_pair(family, ParameterVector([1.5]), 0, 0.05)
+        self._assert_columns_equal_single_calls(
+            [(family, g) for g in pair], 8, 60, 97)
+
+    def test_gradient_matches_separate_calls(self):
+        family = exponential_family()
+        theta = ParameterVector([1.5])
+        grad, _ = fic_complexity_gradient(family, theta, 8, replicates=60,
+                                          seed=98)
+        step = 0.05 * np.sqrt(np.linalg.inv(
+            family.fisher_at(theta, 8).entries)[0, 0])
+        gen_p, gen_m = _gradient_pair(family, theta, 0, step)
+        v_p = fic_complexity(family, gen_p, 8, 60, 98)
+        v_m = fic_complexity(family, gen_m, 8, 60, 98)
+        assert grad[0] == pytest.approx((v_p.value - v_m.value)
+                                        / (2 * step), rel=1e-12)
+
+    def test_noise_laws_must_match(self):
+        from fickit.criteria import _complexity_replicates
+        pairs = [(gaussian_mean_family(1), gaussian_mean_model([0.0])),
+                 (exponential_family(), exponential_model(1.0))]
+        with pytest.raises(ValueError, match="noise law"):
+            _complexity_replicates(pairs, 5, 10, 0)
+
+    def test_failed_pair_leaves_the_others(self):
+        from fickit.criteria import _complexity_replicates
+        N = 20
+        truth = neutrino_truth(N)
+        good = sequential_fourier_family(2, N)
+
+        def fit(data):
+            raise FitError("no fit")
+
+        bad = dataclasses.replace(good, fit=fit)
+        [alone] = _complexity_replicates([(good, truth)], N, 30, 99)
+        first, failed, last = _complexity_replicates(
+            [(good, truth), (bad, truth), (good, truth)], N, 30, 99)
+        assert np.array_equal(first, alone)
+        assert np.array_equal(last, alone)
+        assert isinstance(failed, FitError)
+        with pytest.raises(FitError) as single:
+            fic_complexity(bad, truth, N, 30, 99)
+        assert str(failed) == str(single.value)
+        assert str(failed).startswith("replicates 0..29 (seed 99) failed")
 
 
 class TestClosedForms:
@@ -71,7 +166,7 @@ class TestClosedForms:
         from fickit.core import FittedModel
         base = gaussian_mean_model([0.0])
         model = FittedModel(ParameterVector([]), base.log_density,
-                            base.sampler)
+                            base.from_noise)
         family = fixed_family(model)
         data = _gaussian_data(10, 3)
         report = aic(family.fit(data), data)
@@ -111,16 +206,6 @@ class TestClosedForms:
     def test_aicc_exponential_pole(self):
         with pytest.raises(ValueError):
             aicc_exponential(1)
-
-
-class TestComplexityCurve:
-    def test_rejects_unsorted_indices(self):
-        with pytest.raises(ValueError):
-            ComplexityCurve((0, 2, 1), (1.0, 2.0, 3.0), "FIC", 100)
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            ComplexityCurve((0, 1), (1.0,), "FIC", 100)
 
 
 class TestFicComplexity:

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fickit.core import (Dataset, FitError, ParameterVector, replicate_rng,
-                         shannon_information)
+from fickit.core import (Dataset, FitError, ParameterVector, draw_rows,
+                         replicate_rng, shannon_information)
 from fickit.models import (exponential_family, exponential_model,
                            fixed_family, fourier_indices, fourier_transform,
                            gaussian_mean_family, gaussian_mean_model,
@@ -294,6 +294,59 @@ class TestBlockFits:
         from fickit.models import _log
         x = np.random.default_rng([3]).uniform(0.1, 10.0, 5000)
         assert np.array_equal(_log(x), [math.log(v) for v in x])
+
+
+class TestNoise:
+    """Every model samples through its noise law and ``from_noise``,
+    and leaves a shared noise block as it was."""
+
+    @pytest.mark.parametrize(
+        "family, generator", _block_cases(),
+        ids=["gaussian_mean", "linear_regression", "exponential", "fixed",
+             "sequential_fourier", "greedy_fourier", "sine_regression",
+             "linear_trend"])
+    def test_sampler_is_from_noise_of_draw(self, family, generator):
+        N, R = 24, 5
+        rngs = [replicate_rng(62, r) for r in range(R)]
+        block_fit = family.fit(generator.sampler(N, rngs))
+        one_fit = family.fit(generator.sampler(N, replicate_rng(63, 0)))
+        def streams():      # a block's streams, and one stream
+            return [replicate_rng(64, r) for r in range(R)], \
+                replicate_rng(65, 0)
+
+        for model in (generator, block_fit, one_fit):
+            for k in range(2):
+                expected = model.from_noise(
+                    draw_rows(streams()[k], model.noise, N))
+                assert np.array_equal(model.sampler(N, streams()[k]).values,
+                                      expected.values)
+            noise = draw_rows([replicate_rng(66, r) for r in range(R)],
+                              model.noise, N)
+            noise.setflags(write=False)
+            before = noise.copy()
+            data = model.from_noise(noise)
+            fit = family.fit(data)
+            shannon_information(data, fit)
+            shannon_information(data, model)
+            assert np.array_equal(noise, before)
+
+    @pytest.mark.parametrize("law", ["standard_normal",
+                                     "standard_exponential"])
+    def test_block_rows_are_single_draws(self, law):
+        rngs = [replicate_rng(67, r) for r in range(16)]
+        block = draw_rows(rngs, law, 50)
+        for r, row in enumerate(block):
+            assert np.array_equal(
+                row, draw_rows(replicate_rng(67, r), law, 50))
+
+    def test_choice_block_rows_are_single_draws(self):
+        values = np.arange(7.0) ** 2
+        block = draw_rows([replicate_rng(68, r) for r in range(4)],
+                          "choice", 9, values)
+        for r, row in enumerate(block):
+            g = replicate_rng(68, r)
+            assert np.array_equal(row, g.choice(values, size=9,
+                                                replace=True))
 
 
 class TestGreedyFamily:
