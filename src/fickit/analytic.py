@@ -202,13 +202,15 @@ class LandscapeGrid:
     D_std_error: np.ndarray
     invalid: np.ndarray            # bool mask of cells that failed
 
+    # np.fmin ignores NaN cells and gives NaN for an all-invalid
+    # column: np.nanmin's result, without its all-NaN warning.
     @property
     def d_profile(self) -> np.ndarray:
-        return np.nanmin(self.d_surface, axis=0)
+        return np.fmin.reduce(self.d_surface, axis=0)
 
     @property
     def D_profile(self) -> np.ndarray:
-        return np.nanmin(self.D_surface, axis=0)
+        return np.fmin.reduce(self.D_surface, axis=0)
 
     def argmin_D(self) -> tuple:
         flat = np.nanargmin(self.D_surface)
@@ -225,8 +227,9 @@ def information_landscape(family, truth: FittedModel, data: Dataset,
     for every grid cell (common random numbers), so neighboring cells
     are directly comparable; each cell scores the whole block in one
     call. Cells whose parameters the family rejects (``ValueError`` or
-    a ``FickitError``) are flagged, not fatal; any other error
-    propagates.
+    a ``FickitError``, such as the ``DensityError`` of a score that
+    overflows) are flagged, not fatal, and numpy does not warn about
+    them; any other error propagates.
     """
     if family.model_at is None:
         raise ValueError("family does not expose model_at")
@@ -241,16 +244,17 @@ def information_landscape(family, truth: FittedModel, data: Dataset,
     D = np.full((a1.size, a2.size), np.nan)
     Dse = np.full((a1.size, a2.size), np.nan)
     invalid = np.zeros((a1.size, a2.size), dtype=bool)
-    for i, v1 in enumerate(a1):
-        for j, v2 in enumerate(a2):
-            try:
-                model = family.model_at(ParameterVector([v1, v2]))
-                d[i, j] = shannon_information(data, model) - h_truth_data
-                diffs = shannon_information(sims, model) - h_truth_sims
-                D[i, j] = diffs.mean()
-                Dse[i, j] = diffs.std(ddof=1) / np.sqrt(replicates)
-            except (ValueError, FickitError):
-                invalid[i, j] = True
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, v1 in enumerate(a1):
+            for j, v2 in enumerate(a2):
+                try:
+                    model = family.model_at(ParameterVector([v1, v2]))
+                    d[i, j] = shannon_information(data, model) - h_truth_data
+                    diffs = shannon_information(sims, model) - h_truth_sims
+                    D[i, j] = diffs.mean()
+                    Dse[i, j] = diffs.std(ddof=1) / np.sqrt(replicates)
+                except (ValueError, FickitError):
+                    invalid[i, j] = True
     return LandscapeGrid(a1, a2, d, D, Dse, invalid)
 
 

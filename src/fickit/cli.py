@@ -335,22 +335,25 @@ def cmd_sweep(config: ExperimentConfig) -> list:
 
 
 def _landscape_setup(config: ExperimentConfig):
-    """The landscape's family, its truth and the observed dataset."""
+    """The landscape's family, its truth and the observed dataset. A
+    truth whose data overflow is a usage error, without numpy's
+    warnings."""
     N = config.sample_size
     params = ParameterVector(list(config.landscape_truth))
     if config.landscape_family not in ("sine_singular", "linear_regular"):
         raise UsageError(
             f"unknown landscape_family {config.landscape_family!r}")
     try:
-        if config.landscape_family == "sine_singular":
-            family = sine_regression_family(N)
-            truth = sine_regression_model(params.coordinates[0],
-                                          params.coordinates[1], N)
-        else:
-            family = linear_trend_family(N)
-            truth = family.model_at(params)
-        data = truth.sampler(N, replicate_rng(
-            derive_seed(config.seed, _STREAM_DATA), 0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if config.landscape_family == "sine_singular":
+                family = sine_regression_family(N)
+                truth = sine_regression_model(params.coordinates[0],
+                                              params.coordinates[1], N)
+            else:
+                family = linear_trend_family(N)
+                truth = family.model_at(params)
+            data = truth.sampler(N, replicate_rng(
+                derive_seed(config.seed, _STREAM_DATA), 0))
     except ValueError as exc:
         raise UsageError(
             f"landscape_family {config.landscape_family!r} at sample_size "

@@ -12,7 +12,7 @@ replicates a block at a time; see ``replicate_values``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -77,6 +77,8 @@ class Dataset:
     """
 
     values: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
@@ -92,6 +94,13 @@ class Dataset:
     @property
     def sample_size(self) -> int:
         return int(self.values.shape[-1])
+
+    def memo(self, transform: Callable) -> np.ndarray:
+        """``transform(values)``, computed once per Dataset, read-only."""
+        if transform not in self._memo:
+            self._memo[transform] = out = transform(self.values)
+            out.setflags(write=False)
+        return self._memo[transform]
 
 
 def draw_rows(rng, law: str, n: int, *args) -> np.ndarray:

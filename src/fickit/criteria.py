@@ -8,6 +8,7 @@ leave-one-out cross validation, and model ranking.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -91,7 +92,8 @@ def _complexity_replicates(pairs: Sequence, sample_size: int,
     cancels the generator's shared-signal noise, cutting the variance by
     orders of magnitude for structured generators. A pair's values are
     those it gives alone: the pairs share the draws, so they must share
-    the generators' noise law.
+    the generators' noise law. A generator object in several pairs maps
+    each chunk's noise to data once, held for that chunk only.
     """
     laws = {generator.noise for _, generator in pairs}
     if len(laws) != 1:
@@ -104,10 +106,24 @@ def _complexity_replicates(pairs: Sequence, sample_size: int,
         noise.setflags(write=False)             # shared by every pair
         return noise
 
+    repeats = Counter(id(generator) for _, generator in pairs)
+    held_noise, held = None, {}     # a chunk's Z noise, shared data on it
+
+    def datasets(generator: FittedModel, z_noise, y_noise) -> tuple:
+        nonlocal held_noise, held
+        key = id(generator)
+        if repeats[key] < 2:
+            return generator.from_noise(z_noise), generator.from_noise(y_noise)
+        if held_noise is not z_noise:           # a new chunk
+            held_noise, held = z_noise, {}
+        if key not in held:
+            held[key] = (generator.from_noise(z_noise),
+                         generator.from_noise(y_noise))
+        return held[key]
+
     def gap_of(family, generator: FittedModel):
         def gap(z_noise: np.ndarray, y_noise: np.ndarray) -> np.ndarray:
-            z = generator.from_noise(z_noise)
-            y = generator.from_noise(y_noise)
+            z, y = datasets(generator, z_noise, y_noise)
             fit_z = family.fit(z)
             fit_y = family.fit(y)
             gap_z = (shannon_information(y, fit_z)

@@ -4,6 +4,7 @@ greedy mode selection)."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -69,13 +70,17 @@ def _rows(fn: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
     return np.stack([fn(row) for row in x])
 
 
+def _check_size(n: int, N: int) -> None:
+    if n != N:
+        raise ValueError(f"sample size {n} does not match the "
+                         f"model's N = {N}")
+
+
 def _fixed_mean(mean: np.ndarray) -> Callable[[int], np.ndarray]:
     N = mean.shape[-1]
 
     def mean_at(n: int) -> np.ndarray:
-        if n != N:
-            raise ValueError(f"sample size {n} does not match the "
-                             f"model's N = {N}")
+        _check_size(n, N)
         return mean
 
     return mean_at
@@ -288,8 +293,14 @@ def fourier_transform(data) -> np.ndarray:
 
     Unit-variance white noise maps to independent unit-variance
     coefficients; the inverse transform reconstructs the data exactly.
+    A Dataset's coefficients are memoised on it (read-only).
     """
-    x = data.values if isinstance(data, Dataset) else np.asarray(data, float)
+    if isinstance(data, Dataset):
+        return data.memo(_coefficients)
+    return _coefficients(np.asarray(data, float))
+
+
+def _coefficients(x: np.ndarray) -> np.ndarray:
     N = x.shape[-1]
     if N % 2:
         raise ValueError("orthonormal Fourier basis requires even N")
@@ -323,8 +334,23 @@ def inverse_fourier_transform(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _fourier_model(kept: np.ndarray, params: ParameterVector) -> FittedModel:
-    return _normal_model(params,
-                         _fixed_mean(inverse_fourier_transform(kept)))
+    """Unit-variance normal data around the inverse transform of the
+    kept coefficients, scored in coefficient space (Parseval). The
+    data-space mean is built only when ``from_noise`` first needs it."""
+    N = kept.shape[-1]
+    mean = functools.cache(lambda: inverse_fourier_transform(kept))
+
+    def log_density(data: Dataset) -> np.ndarray:
+        _check_size(data.sample_size, N)
+        sq = fourier_transform(data) - kept
+        np.square(sq, out=sq)
+        return -0.5 * N * LOG_2PI - 0.5 * sq.sum(axis=-1)
+
+    def from_noise(noise: np.ndarray) -> Dataset:
+        _check_size(noise.shape[-1], N)
+        return Dataset(mean() + noise)
+
+    return FittedModel(params, log_density, from_noise)
 
 
 def _sequential_positions(n: int, N: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +243,34 @@ class TestLandscape:
             out_dir=str(tmp_path))
         with pytest.raises(UsageError, match="landscape_truth"):
             cmd_landscape(config)
+
+    @pytest.mark.parametrize("family", ["sine_singular", "linear_regular"])
+    def test_overflow_warns_nothing(self, tmp_path, family, capsys):
+        # An overflowing truth and a grid of only invalid cells: numpy's
+        # overflow and all-NaN warnings do not reach stderr, and the
+        # exit codes and outputs stay what they were.
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps({
+            "experiment": "landscape", "sample_size": 10, "replicates": 4,
+            "landscape_family": family, "landscape_truth": [1e308, 1e308],
+            "grid_axis1": [0.0, 1.0, 2], "grid_axis2": [0.3, 1.0, 2]}))
+        invalid = tmp_path / "invalid.json"
+        invalid.write_text(json.dumps({
+            "experiment": "landscape", "sample_size": 10, "replicates": 4,
+            "landscape_family": family, "grid_axis1": [1e308, 1e308, 2],
+            "grid_axis2": [1e308, 1e308, 3]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["landscape", "--config", str(truth), "--out",
+                         str(tmp_path / "a")]) == EXIT_USAGE
+            assert main(["landscape", "--config", str(invalid), "--out",
+                         str(tmp_path / "b")]) == EXIT_OK
+        assert "Warning" not in capsys.readouterr().err
+        _, surface = _read_rows(tmp_path / "b" / "landscape.csv")
+        _, profile = _read_rows(tmp_path / "b" / "profile.csv")
+        assert [(r["d"], r["D"]) for r in surface] == [("", "")] * 6
+        assert [(r["d_profile"], r["D_profile"]) for r in profile] == \
+            [("", "")] * 3
 
     def test_too_few_points_for_the_family(self, tmp_path):
         config = ExperimentConfig(

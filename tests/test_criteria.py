@@ -3,6 +3,7 @@ bootstrap, leave-one-out validation, and ranking."""
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -116,6 +117,66 @@ class TestSharedPairs:
         v_m = fic_complexity(family, gen_m, 8, 60, 98)
         assert grad[0] == pytest.approx((v_p.value - v_m.value)
                                         / (2 * step), rel=1e-12)
+
+    @staticmethod
+    def _recording(generator, log):
+        """``generator`` with a ``from_noise`` that logs a weak
+        reference to each Dataset it builds."""
+        def from_noise(noise):
+            data = generator.from_noise(noise)
+            log.append(weakref.ref(data))
+            return data
+        return dataclasses.replace(generator, from_noise=from_noise)
+
+    def test_shared_generator_maps_each_chunk_once(self):
+        # At N=100, R=200 spans two chunks (163 and 37 rows) of Z and Y.
+        from fickit.criteria import _complexity_replicates
+        N, R = 100, 200
+        log = []
+        truth = self._recording(neutrino_truth(N), log)
+        good = [greedy_fourier_family(n, N) for n in range(3)]
+
+        def fit(data):                  # fails on the second chunk only
+            if data.values.shape[0] < 100:
+                raise FitError("no fit")
+            return good[0].fit(data)
+
+        bad = dataclasses.replace(good[0], fit=fit)
+        families = good[:2] + [bad] + good[2:]
+        columns = _complexity_replicates([(f, truth) for f in families],
+                                         N, R, 101)
+        assert len(log) == 2 * 2
+        for family, column in zip(good, columns[:2] + columns[3:]):
+            [alone] = _complexity_replicates([(family, neutrino_truth(N))],
+                                             N, R, 101)
+            assert np.array_equal(column, alone)
+        assert isinstance(columns[2], FitError)
+        assert str(columns[2]).startswith("replicates 163..199 (seed 101)")
+
+    def test_holds_data_for_the_current_pair_or_chunk_only(self):
+        from fickit.criteria import _complexity_replicates
+        N, R = 100, 200
+        log, live = [], []
+
+        def watched(family):            # counts the live Datasets at a fit
+            def fit(data):
+                live.append(sum(ref() is not None for ref in log))
+                return family.fit(data)
+            return dataclasses.replace(family, fit=fit)
+
+        families = [sequential_fourier_family(n, N) for n in range(3)]
+        data = neutrino_truth(N).sampler(N, replicate_rng(102, 0))
+        distinct = [self._recording(f.fit(data), log) for f in families]
+        _complexity_replicates([(watched(f), g)
+                                for f, g in zip(families, distinct)],
+                               N, R, 103)
+        assert len(log) == 3 * 2 * 2 and set(live) == {2}
+        log.clear()
+        live.clear()
+        truth = self._recording(neutrino_truth(N), log)
+        _complexity_replicates([(watched(f), truth) for f in families],
+                               N, R, 104)
+        assert len(log) == 2 * 2 and set(live) == {2}
 
     def test_noise_laws_must_match(self):
         from fickit.criteria import _complexity_replicates

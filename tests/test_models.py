@@ -296,6 +296,78 @@ class TestBlockFits:
         assert np.array_equal(_log(x), [math.log(v) for v in x])
 
 
+class TestCoefficientSpace:
+    """Fourier fits score in coefficient space. By Parseval the score is
+    the data-space normal density around the inverse transform of the
+    kept coefficients; each Dataset is transformed once, and a fit's
+    data-space mean is built only for sampling."""
+
+    @pytest.mark.parametrize("rows", [0, 7], ids=["one_dataset", "block"])
+    @pytest.mark.parametrize("algorithm", ["sequential", "greedy"])
+    def test_log_density_is_the_data_space_density(self, algorithm, rows):
+        N, n = 40, 3
+        truth = neutrino_truth(N)
+        rng = [replicate_rng(71, r) for r in range(rows)] if rows \
+            else replicate_rng(71, 0)
+        z = truth.sampler(N, rng)
+        y = truth.sampler(N, rng)
+        c = fourier_transform(z.values)
+        if algorithm == "sequential":
+            fit = sequential_fourier_family(n, N).fit(z)
+            keep = np.isin(fourier_indices(N), np.arange(-n, n + 1))
+        else:
+            fit = greedy_fourier_family(n, N).fit(z)
+            keep = greedy_mask(c, n)
+        mean = inverse_fourier_transform(np.where(keep, c, 0.0))
+        one = [Dataset(y.values[0])] if rows else []   # a block fit's
+        for data in [z, y] + one:                      # score of one row
+            expected = (-0.5 * N * math.log(2.0 * math.pi)
+                        - 0.5 * ((data.values - mean) ** 2).sum(axis=-1))
+            np.testing.assert_allclose(fit.log_density(data), expected,
+                                       rtol=1e-12)
+
+    def test_one_forward_transform_per_dataset(self, monkeypatch):
+        calls = {"rfft": 0, "irfft": 0}
+
+        def counted(name):
+            fn = getattr(np.fft, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.fft, name, counted(name))
+        N = 40
+        truth = neutrino_truth(N)
+        z = truth.sampler(N, [replicate_rng(72, r) for r in range(5)])
+        y = truth.sampler(N, [replicate_rng(73, r) for r in range(5)])
+        assert calls == {"rfft": 0, "irfft": 0}
+        for family in (sequential_fourier_family(2, N),
+                       greedy_fourier_family(4, N)):
+            fit_z, fit_y = family.fit(z), family.fit(y)
+            for data in (z, y):
+                shannon_information(data, fit_z)
+                shannon_information(data, fit_y)
+        assert calls == {"rfft": 2, "irfft": 0}
+        fit_z.sampler(N, replicate_rng(74, 0))
+        fit_z.sampler(N, replicate_rng(75, 0))
+        assert calls == {"rfft": 2, "irfft": 1}
+
+        c = fourier_transform(z)
+        assert c is fourier_transform(z)
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[0, 0] = 1.0
+        twin = Dataset(z.values)            # equal values, another Dataset
+        assert fourier_transform(twin) is not c
+        assert np.array_equal(fourier_transform(twin), c)
+        assert calls["rfft"] == 3
+        assert fourier_transform(z.values).flags.writeable
+        assert calls["rfft"] == 4
+
+
 class TestNoise:
     """Every model samples through its noise law and ``from_noise``,
     and leaves a shared noise block as it was."""
