@@ -13,10 +13,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (Dataset, FickitError, FittedModel, MonteCarloEstimate,
-                   ParameterVector, derive_seed, kl_divergence_mc,
-                   kl_statistic, replicate_values, shannon_information,
-                   unwrap)
+from .core import (BLOCK_BYTES, LOG_2PI, Dataset, FickitError, FittedModel,
+                   MonteCarloEstimate, ParameterVector, derive_seed,
+                   kl_divergence_mc, kl_statistic, replicate_values,
+                   shannon_information, unwrap)
 
 # Eigenvalues below this fraction of the largest are treated as
 # degenerate directions and pseudo-inverted.
@@ -26,6 +26,9 @@ EIGENVALUE_CLIP = 1e-12
 UNIDENTIFIABLE_MAX = 0.1
 REGULAR_TOL = 0.2
 MULTIPLICITY_MIN = 2.0
+
+# Chi-squared draws held at once by ``max_chi2_mc`` (80 MB of float64).
+_CHI2_CHUNK_DRAWS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -128,12 +131,17 @@ def max_chi2_mc(m: int, nu: int, replicates: int,
         raise ValueError("replicates must be >= 2")
     rng = np.random.default_rng([int(seed) % 2**63])
     maxima = np.empty(replicates)
-    chunk = max(1, 10_000_000 // m)
-    done = 0
-    while done < replicates:
-        k = min(chunk, replicates - done)
-        maxima[done:done + k] = rng.chisquare(nu, (k, m)).max(axis=1)
-        done += k
+    # A chunk draws whole replicates, or one replicate in pieces of
+    # columns when its m draws exceed the budget. Split calls continue
+    # one stream, so the draws do not depend on the chunking.
+    rows = max(1, _CHI2_CHUNK_DRAWS // m)
+    cols = min(m, _CHI2_CHUNK_DRAWS)
+    for done in range(0, replicates, rows):
+        top = maxima[done:done + rows]
+        top[:] = -np.inf
+        for start in range(0, m, cols):      # holds one chunk at a time
+            np.maximum(top, rng.chisquare(
+                nu, (top.size, min(cols, m - start))).max(axis=1), out=top)
     return MonteCarloEstimate.from_values(maxima, seed)
 
 
@@ -217,45 +225,89 @@ class LandscapeGrid:
         return np.unravel_index(flat, self.D_surface.shape)
 
 
+def _unit_normal_mean(model: FittedModel, n: int) -> np.ndarray:
+    """The mean of n observations of a unit-variance Gaussian model;
+    a ``TypeError`` for any other model."""
+    if model.mean is None or model.variance is None \
+            or np.ndim(model.variance) != 0 or float(model.variance) != 1.0:
+        raise TypeError("information_landscape needs unit-variance "
+                        f"Gaussian models; {model.label or 'a model'} has "
+                        f"variance {model.variance}")
+    return model.mean(n)
+
+
 def information_landscape(family, truth: FittedModel, data: Dataset,
                           grid: GridSpec, replicates: int = 200,
                           seed: int = 0) -> LandscapeGrid:
-    """Evaluate the in-sample loss on ``data`` and the Monte Carlo
-    expected loss over a 2-parameter grid.
+    """Evaluate the in-sample loss d on ``data`` and the Monte Carlo
+    expected loss D over a 2-parameter grid.
 
-    The same simulated datasets, drawn once as one block, are reused
-    for every grid cell (common random numbers), so neighboring cells
-    are directly comparable; each cell scores the whole block in one
-    call. Cells whose parameters the family rejects (``ValueError`` or
-    a ``FickitError``, such as the ``DensityError`` of a score that
-    overflows) are flagged, not fatal, and numpy does not warn about
-    them; any other error propagates.
+    The truth and every cell model must be unit-variance Gaussian (a
+    ``TypeError`` otherwise). With z = y - mu_0 for simulated data y and
+    delta = mu_theta - mu_0, a cell's loss on y is 1/2 |delta|^2 -
+    delta . z, so D and its standard error depend on the simulations
+    only through the mean of z and its sample covariance S:
+    D = 1/2 |delta|^2 - delta . mean(z), se = sqrt(delta' S delta / R).
+    The R simulations, shared by every cell (common random numbers),
+    are drawn in chunks and kept only as those sums, so memory does not
+    grow with R. Cells are scored in chunks of ``BLOCK_BYTES`` per
+    (cells x N) array, d exactly as the models' densities give it.
+
+    Cells whose parameters the family rejects (``ValueError`` or a
+    ``FickitError``) or whose losses overflow are flagged, not fatal,
+    and numpy does not warn about them; any other error propagates.
     """
     if family.model_at is None:
         raise ValueError("family does not expose model_at")
     a1 = grid.axis1.values()
     a2 = grid.axis2.values()
-    [sims] = unwrap(replicate_values(truth.sampler, data.sample_size,
-                                     replicates, seed, [lambda y: y.values]))
-    sims = Dataset(sims)
+    N = data.sample_size
+    mu0 = _unit_normal_mean(truth, N)
     h_truth_data = shannon_information(data, truth)
-    h_truth_sims = shannon_information(sims, truth)
-    d = np.full((a1.size, a2.size), np.nan)
-    D = np.full((a1.size, a2.size), np.nan)
-    Dse = np.full((a1.size, a2.size), np.nan)
-    invalid = np.zeros((a1.size, a2.size), dtype=bool)
+    z_sum = np.zeros(N)
+    scatter = np.zeros((N, N))
+
+    def accumulate(y: Dataset) -> np.ndarray:
+        z = y.values - mu0
+        z_sum[:] += z.sum(axis=0)
+        scatter[:] += z.T @ z
+        return np.empty((len(z), 0))            # nothing per replicate
+
+    unwrap(replicate_values(truth.sampler, N, replicates, seed,
+                            [accumulate]))
+    z_mean = z_sum / replicates
+    cov = (scatter - replicates * np.outer(z_mean, z_mean)) / (replicates - 1)
+    # Cells go by row-major index: a list of every cell's parameters
+    # would raise the peak memory of a large grid.
+    cells = a1.size * a2.size
+    d, D, Dse = (np.full(cells, np.nan) for _ in range(3))
+    rows = max(1, BLOCK_BYTES // (8 * N))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, v1 in enumerate(a1):
-            for j, v2 in enumerate(a2):
+        for start in range(0, cells, rows):
+            block = slice(start, min(start + rows, cells))
+            means = np.full((block.stop - start, N), np.nan)  # NaN: invalid
+            for k in range(block.stop - start):
+                i, j = divmod(start + k, a2.size)
                 try:
-                    model = family.model_at(ParameterVector([v1, v2]))
-                    d[i, j] = shannon_information(data, model) - h_truth_data
-                    diffs = shannon_information(sims, model) - h_truth_sims
-                    D[i, j] = diffs.mean()
-                    Dse[i, j] = diffs.std(ddof=1) / np.sqrt(replicates)
+                    model = family.model_at(ParameterVector([a1[i], a2[j]]))
+                    means[k] = _unit_normal_mean(model, N)
                 except (ValueError, FickitError):
-                    invalid[i, j] = True
-    return LandscapeGrid(a1, a2, d, D, Dse, invalid)
+                    pass
+            sq = data.values - means
+            np.square(sq, out=sq)
+            d[block] = (0.5 * N * LOG_2PI + 0.5 * sq.sum(axis=-1)
+                        - h_truth_data)
+            delta = means - mu0
+            D[block] = (0.5 * np.square(delta).sum(axis=-1)
+                        - delta @ z_mean)
+            # S is singular when R <= N: rounding can take the quadratic
+            # form of a null direction below 0.
+            spread = np.maximum(((delta @ cov) * delta).sum(axis=-1), 0.0)
+            Dse[block] = np.sqrt(spread) / np.sqrt(replicates)
+    invalid = ~(np.isfinite(d) & np.isfinite(D))
+    d[invalid] = D[invalid] = Dse[invalid] = np.nan
+    return LandscapeGrid(a1, a2, *(x.reshape(a1.size, a2.size)
+                                   for x in (d, D, Dse, invalid)))
 
 
 def count_local_minima(profile: np.ndarray) -> int:

@@ -12,6 +12,7 @@ replicates a block at a time; see ``replicate_values``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -22,6 +23,8 @@ import numpy as np
 # bytes per array, so memory stays flat in the replicate count; a fit
 # and its scores hold about a dozen such arrays at once.
 BLOCK_BYTES = 128 * 1024
+
+LOG_2PI = math.log(2.0 * math.pi)
 
 
 class FickitError(Exception):
@@ -166,6 +169,11 @@ class FittedModel:
     standard noise, and ``from_noise`` maps an (N,) noise array, or an
     (R, N) block of them, to data. ``from_noise`` never writes into its
     argument, so models with one noise law can share one draw.
+
+    A Gaussian model (independent normal observations) also carries
+    its ``mean``, a function of the sample size n giving the (n,) mean
+    (or (R, n) for a fit to a block), and its ``variance``, a scalar or
+    one per row. Other models leave both None.
     """
 
     params: ParameterVector
@@ -173,6 +181,8 @@ class FittedModel:
     from_noise: Callable[[np.ndarray], Dataset]
     noise: str = "standard_normal"
     label: str = ""
+    mean: Optional[Callable[[int], np.ndarray]] = None
+    variance: Optional[np.ndarray] = None
 
     def sampler(self, sample_size: int, rng) -> Dataset:
         """A Dataset of exactly ``sample_size`` drawn from a Generator,

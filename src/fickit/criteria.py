@@ -33,14 +33,6 @@ class CriterionReport:
     criterion_value: float
     n_params: Optional[int] = None
 
-    @property
-    def complexity_value(self) -> Optional[float]:
-        if self.complexity is None:
-            return None
-        if isinstance(self.complexity, MonteCarloEstimate):
-            return self.complexity.value
-        return float(self.complexity)
-
 
 def _report(label, kind, h, complexity, n_params) -> CriterionReport:
     kval = complexity.value if isinstance(complexity, MonteCarloEstimate) \

@@ -12,10 +12,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .analytic import FisherMatrix
-from .core import (Dataset, FitError, FittedModel, ParameterVector,
+from .core import (LOG_2PI, Dataset, FitError, FittedModel, ParameterVector,
                    row_error)
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -86,30 +84,52 @@ def _fixed_mean(mean: np.ndarray) -> Callable[[int], np.ndarray]:
     return mean_at
 
 
-def _normal_model(params: ParameterVector,
-                  mean_at: Callable[[int], np.ndarray], variance=1.0,
-                  label: str = "") -> FittedModel:
-    """Independent normal observations around ``mean_at(n)`` (shape
-    (N,), or (R, N) for a fit to a block) with the given variance (a
-    scalar, or one per row).
+def _gaussian_model(params: ParameterVector,
+                    mean: Optional[Callable[[int], np.ndarray]] = None,
+                    variance=1.0, label: str = "",
+                    kept: Optional[np.ndarray] = None) -> FittedModel:
+    """Independent normal observations around ``mean(n)`` (shape (n,),
+    or (R, n) for a fit to a block) with the given variance (a scalar,
+    or one per row).
 
-    Unit variance gives the unit-variance density bit for bit, since
-    log 1 = 0 and sqrt 1 = 1.
+    A Fourier fit passes the orthonormal coefficients it ``kept`` in
+    place of a mean. It scores in coefficient space (Parseval), and
+    builds its data-space mean, one inverse transform, only when first
+    asked for it.
+
+    A scalar unit variance skips log 1 = 0, the division by 1 and the
+    scaling of the noise by sqrt 1 = 1, which change nothing: it gives
+    the unit-variance density and data bit for bit.
     """
     variance = np.asarray(variance, dtype=float)
-    log_norm = LOG_2PI + _log(variance)
-    sd = np.sqrt(variance)[..., None]
+    unit = variance.ndim == 0 and float(variance) == 1.0
+    log_norm = LOG_2PI if unit else LOG_2PI + _log(variance)
+    sd = None if unit else np.sqrt(variance)[..., None]
+    if kept is not None:
+        N = kept.shape[-1]
+        inverse = functools.cache(lambda: inverse_fourier_transform(kept))
+
+        def mean(n: int) -> np.ndarray:
+            _check_size(n, N)
+            return inverse()
 
     def log_density(data: Dataset) -> np.ndarray:
         n = data.sample_size
-        sq = data.values - mean_at(n)
+        if kept is None:
+            sq = data.values - mean(n)
+        else:
+            _check_size(n, N)
+            sq = fourier_transform(data) - kept
         np.square(sq, out=sq)
-        return -0.5 * n * log_norm - 0.5 * sq.sum(axis=-1) / variance
+        half = 0.5 * sq.sum(axis=-1)
+        return -0.5 * n * log_norm - (half if unit else half / variance)
 
     def from_noise(noise: np.ndarray) -> Dataset:
-        return Dataset(mean_at(noise.shape[-1]) + sd * noise)
+        at = mean(noise.shape[-1])
+        return Dataset(at + noise if unit else at + sd * noise)
 
-    return FittedModel(params, log_density, from_noise, label=label)
+    return FittedModel(params, log_density, from_noise, label=label,
+                       mean=mean, variance=variance)
 
 
 def gaussian_mean_model(means: np.ndarray, label: str = "") -> FittedModel:
@@ -121,7 +141,7 @@ def gaussian_mean_model(means: np.ndarray, label: str = "") -> FittedModel:
     """
     means = np.atleast_1d(np.asarray(means, dtype=float))
     k = means.shape[-1]
-    return _normal_model(
+    return _gaussian_model(
         ParameterVector(means),
         lambda n: np.repeat(means, _block_sizes(n, k), axis=-1), label=label)
 
@@ -158,7 +178,7 @@ def _regression_model(design: np.ndarray, beta: np.ndarray,
     params = ParameterVector(np.concatenate([beta, variance[..., None]],
                                             axis=-1))
     mean = _rows(lambda b: design @ b, beta)
-    return _normal_model(params, _fixed_mean(mean), variance)
+    return _gaussian_model(params, _fixed_mean(mean), variance)
 
 
 def linear_regression_family(design: np.ndarray) -> ModelFamily:
@@ -272,8 +292,8 @@ def neutrino_truth(N: int) -> FittedModel:
     if N < 2 or N % 2:
         raise ValueError("N must be even and >= 2")
     mu = neutrino_mean(N)
-    return _normal_model(ParameterVector(mu), _fixed_mean(mu),
-                         label=f"neutrino_truth_N{N}")
+    return _gaussian_model(ParameterVector(mu), _fixed_mean(mu),
+                           label=f"neutrino_truth_N{N}")
 
 
 def fourier_indices(N: int) -> np.ndarray:
@@ -333,26 +353,6 @@ def inverse_fourier_transform(coeffs: np.ndarray) -> np.ndarray:
     return np.fft.irfft(r, N)
 
 
-def _fourier_model(kept: np.ndarray, params: ParameterVector) -> FittedModel:
-    """Unit-variance normal data around the inverse transform of the
-    kept coefficients, scored in coefficient space (Parseval). The
-    data-space mean is built only when ``from_noise`` first needs it."""
-    N = kept.shape[-1]
-    mean = functools.cache(lambda: inverse_fourier_transform(kept))
-
-    def log_density(data: Dataset) -> np.ndarray:
-        _check_size(data.sample_size, N)
-        sq = fourier_transform(data) - kept
-        np.square(sq, out=sq)
-        return -0.5 * N * LOG_2PI - 0.5 * sq.sum(axis=-1)
-
-    def from_noise(noise: np.ndarray) -> Dataset:
-        _check_size(noise.shape[-1], N)
-        return Dataset(mean() + noise)
-
-    return FittedModel(params, log_density, from_noise)
-
-
 def _sequential_positions(n: int, N: int) -> np.ndarray:
     pos = [0]
     for k in range(1, n + 1):
@@ -373,14 +373,14 @@ def sequential_fourier_family(n: int, N: int) -> ModelFamily:
         c = fourier_transform(data)
         kept = np.zeros(c.shape)
         kept[..., sel] = c[..., sel]
-        return _fourier_model(kept, ParameterVector(c[..., sel]))
+        return _gaussian_model(ParameterVector(c[..., sel]), kept=kept)
 
     def model_at(params: ParameterVector) -> FittedModel:
         if params.dimension != sel.size:
             raise ValueError("parameter dimension mismatch")
         kept = np.zeros(N)
         kept[sel] = params.coordinates
-        return _fourier_model(kept, params)
+        return _gaussian_model(params, kept=kept)
 
     def fisher_at(params: ParameterVector, sample_size: int) -> FisherMatrix:
         # Orthonormal coefficients of unit-variance data: unit Fisher.
@@ -453,7 +453,7 @@ def greedy_fourier_family(n: int, N: int) -> ModelFamily:
         shape = c.shape[:-1] + (n + 1,)
         positions = np.nonzero(mask)[-1].reshape(shape)
         params = ParameterVector(c[mask].reshape(shape), tags=idx[positions])
-        return _fourier_model(np.where(mask, c, 0.0), params)
+        return _gaussian_model(params, kept=np.where(mask, c, 0.0))
 
     def model_at(params: ParameterVector) -> FittedModel:
         if params.tags is None or len(params.tags) != params.dimension:
@@ -461,7 +461,7 @@ def greedy_fourier_family(n: int, N: int) -> ModelFamily:
         kept = np.zeros(N)
         sel = np.array([t % N for t in params.tags], dtype=int)
         kept[sel] = params.coordinates
-        return _fourier_model(kept, params)
+        return _gaussian_model(params, kept=kept)
 
     def fisher_at(params: ParameterVector, sample_size: int) -> FisherMatrix:
         # Orthonormal coefficients of unit-variance data: unit Fisher.
@@ -511,8 +511,8 @@ def sine_regression_model(amplitude, omega, N: int) -> FittedModel:
     a = np.asarray(amplitude, dtype=float)
     w = np.asarray(omega, dtype=float)
     mean = a[..., None] * np.sin(w[..., None] * _sine_design(N))
-    return _normal_model(ParameterVector(np.stack([a, w], axis=-1)),
-                         _fixed_mean(mean))
+    return _gaussian_model(ParameterVector(np.stack([a, w], axis=-1)),
+                           _fixed_mean(mean))
 
 
 def sine_regression_family(N: int, omega_max: float = np.pi,
@@ -561,7 +561,7 @@ def linear_trend_family(N: int) -> ModelFamily:
 
     def make(params: ParameterVector) -> FittedModel:
         mean = _rows(lambda b: design @ b, params.coordinates)
-        return _normal_model(params, _fixed_mean(mean))
+        return _gaussian_model(params, _fixed_mean(mean))
 
     def fit(data: Dataset) -> FittedModel:
         beta = _rows(lambda y: np.linalg.lstsq(design, y, rcond=None)[0],

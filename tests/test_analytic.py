@@ -2,17 +2,24 @@
 correlation, and information landscapes."""
 
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fickit import analytic
 from fickit.analytic import (FisherMatrix, GridAxis, GridSpec,
-                             classify_coordinate, coordinate_complexities,
-                             count_local_minima, error_statistic_correlation,
-                             evt_complexity, information_landscape,
-                             max_chi2_mc, quadratic_error_statistic)
-from fickit.core import Dataset, ParameterVector, replicate_rng
-from fickit.models import (gaussian_mean_family, linear_trend_family,
+                             LandscapeGrid, classify_coordinate,
+                             coordinate_complexities, count_local_minima,
+                             error_statistic_correlation, evt_complexity,
+                             information_landscape, max_chi2_mc,
+                             quadratic_error_statistic)
+from fickit.core import (Dataset, FickitError, ParameterVector,
+                         replicate_rng, replicate_values,
+                         shannon_information, unwrap)
+from fickit.models import (exponential_model, gaussian_mean_family,
+                           linear_regression_family, linear_trend_family,
                            sine_regression_family, sine_regression_model)
 
 MAX_OF_TWO_CHI2 = 1.0 + 2.0 / math.pi
@@ -149,6 +156,28 @@ class TestMaxChi2:
         assert max_chi2_mc(10, 1, 500, seed=66) == \
             max_chi2_mc(10, 1, 500, seed=66)
 
+    @pytest.mark.parametrize("budget", [300, 1000, 2500])
+    def test_chunk_budget_does_not_change_draws(self, monkeypatch, budget):
+        # 300 < m splits every replicate into column pieces, 1000 = m
+        # draws one replicate per chunk, 2500 draws two.
+        expected = [max_chi2_mc(1000, nu, 7, seed=67) for nu in (1, 2, 3)]
+        monkeypatch.setattr(analytic, "_CHI2_CHUNK_DRAWS", budget)
+        assert [max_chi2_mc(1000, nu, 7, seed=67)
+                for nu in (1, 2, 3)] == expected
+
+    @pytest.mark.parametrize("m, replicates", [(1000, 50), (100_000, 3)])
+    def test_holds_one_chunk_at_a_time(self, monkeypatch, m, replicates):
+        # Whole replicates per chunk, and one replicate in pieces.
+        budget = 10_000
+        monkeypatch.setattr(analytic, "_CHI2_CHUNK_DRAWS", budget)
+        tracemalloc.start()
+        try:
+            max_chi2_mc(m, 1, replicates, seed=68)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * budget
+
 
 class TestErrorStatisticCorrelation:
     def setup_method(self):
@@ -253,6 +282,119 @@ class TestInformationLandscape:
         with pytest.raises(TypeError):
             information_landscape(BuggyFamily(), truth, data, grid,
                                   replicates=10, seed=88)
+
+
+def _reference_landscape(family, truth, data, grid, replicates, seed):
+    """Every simulation scored under every cell model, one cell at a
+    time: the direct definition the sufficient statistics replace."""
+    a1 = grid.axis1.values()
+    a2 = grid.axis2.values()
+    [sims] = unwrap(replicate_values(truth.sampler, data.sample_size,
+                                     replicates, seed, [lambda y: y.values]))
+    sims = Dataset(sims)
+    h_truth_data = shannon_information(data, truth)
+    h_truth_sims = shannon_information(sims, truth)
+    d, D, Dse = (np.full((a1.size, a2.size), np.nan) for _ in range(3))
+    invalid = np.zeros((a1.size, a2.size), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, v1 in enumerate(a1):
+            for j, v2 in enumerate(a2):
+                try:
+                    model = family.model_at(ParameterVector([v1, v2]))
+                    d[i, j] = shannon_information(data, model) - h_truth_data
+                    diffs = shannon_information(sims, model) - h_truth_sims
+                    D[i, j] = diffs.mean()
+                    Dse[i, j] = diffs.std(ddof=1) / np.sqrt(replicates)
+                except (ValueError, FickitError):
+                    invalid[i, j] = True
+    return LandscapeGrid(a1, a2, d, D, Dse, invalid)
+
+
+def _sine_case(N):
+    return sine_regression_family(N), sine_regression_model(0.0, 0.9, N)
+
+
+def _trend_case(N):
+    family = linear_trend_family(N)
+    return family, family.model_at(ParameterVector([0.25, 0.5]))
+
+
+@pytest.mark.filterwarnings("error")
+class TestLandscapeAgainstReference:
+    # The second axis-1 grid reaches amplitudes or intercepts whose
+    # squares overflow: those cells must be invalid in both.
+    @pytest.mark.parametrize("case", [_sine_case, _trend_case])
+    @pytest.mark.parametrize("axis1", [GridAxis(-1.5, 1.5, 7),
+                                       GridAxis(-1.0, 1e300, 3)])
+    # R < N leaves the sample covariance singular.
+    @pytest.mark.parametrize("N, replicates", [(24, 40), (12, 300), (40, 3)])
+    def test_matches_per_cell_scoring(self, case, axis1, N, replicates):
+        family, truth = case(N)
+        data = truth.sampler(N, replicate_rng(89, 0))
+        grid = GridSpec(axis1, GridAxis(0.3, 1.5, 9))
+        got = information_landscape(family, truth, data, grid,
+                                    replicates=replicates, seed=90)
+        ref = _reference_landscape(family, truth, data, grid,
+                                   replicates, seed=90)
+        np.testing.assert_array_equal(got.invalid, ref.invalid)
+        assert got.invalid.any() == (axis1.stop > 1e299)
+        assert not got.invalid.all()
+        np.testing.assert_array_equal(got.d_surface, ref.d_surface)
+        np.testing.assert_allclose(got.D_surface, ref.D_surface,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.D_std_error, ref.D_std_error,
+                                   rtol=1e-10, atol=0)
+
+    def _grid(self):
+        return GridSpec(GridAxis(-1.0, 1.0, 3), GridAxis(1.0, 2.0, 2))
+
+    def test_rejects_non_unit_variance_cells(self):
+        N = 12
+        family = linear_regression_family(np.ones((N, 1)))
+        truth = family.model_at(ParameterVector([0.0, 1.0]))
+        data = truth.sampler(N, replicate_rng(91, 0))
+        with pytest.raises(TypeError, match="unit-variance Gaussian"):
+            information_landscape(family, truth, data, self._grid(),
+                                  replicates=10, seed=92)
+
+    def test_rejects_non_unit_variance_truth(self):
+        N = 12
+        truth = linear_regression_family(np.ones((N, 1))).model_at(
+            ParameterVector([0.0, 2.0]))
+        data = truth.sampler(N, replicate_rng(93, 0))
+        with pytest.raises(TypeError, match="unit-variance Gaussian"):
+            information_landscape(linear_trend_family(N), truth, data,
+                                  self._grid(), replicates=10, seed=94)
+
+    def test_rejects_non_gaussian_models(self):
+        N = 12
+        family = linear_trend_family(N)
+        truth = family.model_at(ParameterVector([1.0, 0.0]))
+        data = truth.sampler(N, replicate_rng(95, 0))
+        exponential = SimpleNamespace(
+            model_at=lambda params: exponential_model(2.0))
+        with pytest.raises(TypeError, match="unit-variance Gaussian"):
+            information_landscape(exponential, truth, data, self._grid(),
+                                  replicates=10, seed=96)
+        with pytest.raises(TypeError, match="unit-variance Gaussian"):
+            information_landscape(family, exponential_model(1.0),
+                                  Dataset(np.ones(N)), self._grid(),
+                                  replicates=10, seed=96)
+
+    def test_memory_bounded_in_replicates(self):
+        # One R x N block of simulations would take 8 MB.
+        N, R = 100, 10_000
+        family, truth = _trend_case(N)
+        data = truth.sampler(N, replicate_rng(97, 0))
+        grid = GridSpec(GridAxis(-1.0, 1.0, 3), GridAxis(-1.0, 1.0, 3))
+        tracemalloc.start()
+        try:
+            information_landscape(family, truth, data, grid,
+                                  replicates=R, seed=98)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * R * N / 4
 
 
 class TestCountLocalMinima:

@@ -421,6 +421,43 @@ class TestNoise:
                                                 replace=True))
 
 
+class TestGaussianModels:
+    """Gaussian models carry their mean and variance; the data they
+    sample are that mean plus the scaled noise."""
+
+    def test_mean_and_variance(self):
+        N, R = 24, 3
+        truth = neutrino_truth(N)
+        assert np.array_equal(truth.mean(N), neutrino_mean(N))
+        assert truth.variance == 1.0
+        block = truth.sampler(N, [replicate_rng(69, r) for r in range(R)])
+        c = fourier_transform(block)
+        sequential = np.isin(np.arange(N), [0, 1, 2, N - 2, N - 1])
+        for family, mask in ((sequential_fourier_family(2, N), sequential),
+                             (greedy_fourier_family(3, N), greedy_mask(c, 3))):
+            fit = family.fit(block)
+            kept = np.where(mask, c, 0.0)
+            assert fit.mean(N).shape == (R, N)
+            assert np.array_equal(fit.mean(N),
+                                  inverse_fourier_transform(kept))
+            assert fit.variance == 1.0
+            with pytest.raises(ValueError, match="does not match"):
+                fit.mean(N + 2)
+        fit = linear_regression_family(np.ones((N, 1))).fit(block)
+        assert np.array_equal(fit.variance, fit.params.coordinates[:, -1])
+        model = exponential_model(2.0)
+        assert model.mean is None and model.variance is None
+
+    @pytest.mark.parametrize("variance", [1.0, 4.0])
+    def test_from_noise_scales_by_the_standard_deviation(self, variance):
+        N = 10
+        model = linear_regression_family(np.ones((N, 1))).model_at(
+            ParameterVector([0.5, variance]))
+        noise = draw_rows(replicate_rng(70, 0), model.noise, N)
+        expected = model.mean(N) + math.sqrt(variance) * noise
+        assert np.array_equal(model.from_noise(noise).values, expected)
+
+
 class TestGreedyFamily:
     def test_parameter_count_and_tags(self):
         family = greedy_fourier_family(3, 100)
