@@ -8,14 +8,14 @@ correlation, and information-landscape diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .core import (BLOCK_BYTES, LOG_2PI, Dataset, FickitError, FittedModel,
                    MonteCarloEstimate, ParameterVector, derive_seed,
-                   kl_divergence_mc, kl_statistic, replicate_values,
+                   error_statistic, kl_divergence_mc, replicate_values,
                    shannon_information, unwrap)
 
 # Eigenvalues below this fraction of the largest are treated as
@@ -55,15 +55,6 @@ class FisherMatrix:
     @property
     def dimension(self) -> int:
         return self.entries.shape[0]
-
-
-def quadratic_error_statistic(delta_theta, fisher: FisherMatrix) -> float:
-    """Quadratic form of a parameter error in the Fisher metric."""
-    d = np.asarray(getattr(delta_theta, "coordinates", delta_theta),
-                   dtype=float)
-    if d.size != fisher.dimension:
-        raise ValueError("dimension mismatch between error and Fisher matrix")
-    return float(d @ fisher.entries @ d)
 
 
 def classify_coordinate(k: float) -> str:
@@ -170,8 +161,8 @@ def error_statistic_correlation(family, truth: FittedModel,
                              replicates, derive_seed(seed, 2)).value
     ka, kb = unwrap(replicate_values(
         truth.sampler, sample_size, replicates, seed,
-        [lambda x: div_a - kl_statistic(x, truth, model_a),
-         lambda x: div_b - kl_statistic(x, truth, model_b)]))
+        [lambda x: error_statistic(x, truth, model_a, div_a),
+         lambda x: error_statistic(x, truth, model_b, div_b)]))
     if same:
         return 1.0
     if ka.std() == 0.0 or kb.std() == 0.0:
@@ -189,7 +180,12 @@ class GridAxis:
     def values(self) -> np.ndarray:
         if self.num < 2:
             raise ValueError("grid axis needs at least two points")
-        return np.linspace(self.start, self.stop, self.num)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.linspace(self.start, self.stop, self.num)
+        if not np.isfinite(values).all():
+            raise ValueError(f"grid axis from {self.start} to {self.stop} "
+                             "overflows the float range")
+        return values
 
 
 @dataclass(frozen=True)

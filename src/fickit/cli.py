@@ -12,7 +12,7 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -31,8 +31,7 @@ from .models import (exponential_model, fourier_indices, fourier_transform,
                      exponential_family, greedy_fourier_family,
                      greedy_piecewise_complexity, linear_regression_family,
                      linear_trend_family, neutrino_mean, neutrino_truth,
-                     sequential_fourier_family, sine_regression_family,
-                     sine_regression_model)
+                     sequential_fourier_family, sine_regression_family)
 
 # Shipped default noise draw; chosen so the N=100 sweep reproduces the
 # qualitative reference behavior of the experiment (FIC minimum at
@@ -227,8 +226,8 @@ def cmd_simulate(config: ExperimentConfig) -> list:
     order = np.argsort(idx)
     coeff_path = write_csv(
         out / "coefficients.csv", meta,
-        ["index", "true_coefficient", "fitted_coefficient", "selected"],
-        [(int(idx[p]), c_true[p], c_fit[p], True) for p in order])
+        ["index", "true_coefficient", "fitted_coefficient"],
+        [(int(idx[p]), c_true[p], c_fit[p]) for p in order])
     return [data_path, coeff_path]
 
 
@@ -334,24 +333,24 @@ def cmd_sweep(config: ExperimentConfig) -> list:
     return [sweep_path, summary_path]
 
 
+_LANDSCAPE_FAMILIES = {"sine_singular": sine_regression_family,
+                       "linear_regular": linear_trend_family}
+
+
 def _landscape_setup(config: ExperimentConfig):
     """The landscape's family, its truth and the observed dataset. A
     truth whose data overflow is a usage error, without numpy's
     warnings."""
     N = config.sample_size
-    params = ParameterVector(list(config.landscape_truth))
-    if config.landscape_family not in ("sine_singular", "linear_regular"):
+    make_family = _LANDSCAPE_FAMILIES.get(config.landscape_family)
+    if make_family is None:
         raise UsageError(
             f"unknown landscape_family {config.landscape_family!r}")
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            if config.landscape_family == "sine_singular":
-                family = sine_regression_family(N)
-                truth = sine_regression_model(params.coordinates[0],
-                                              params.coordinates[1], N)
-            else:
-                family = linear_trend_family(N)
-                truth = family.model_at(params)
+            family = make_family(N)
+            truth = family.model_at(
+                ParameterVector(list(config.landscape_truth)))
             data = truth.sampler(N, replicate_rng(
                 derive_seed(config.seed, _STREAM_DATA), 0))
     except ValueError as exc:

@@ -2,7 +2,7 @@
 
 Closed forms (AIC, BIC, small-sample corrections), Monte Carlo
 complexities (candidate-sampled, true-generator oracle, bootstrap),
-leave-one-out cross validation, and model ranking.
+and leave-one-out cross validation.
 """
 
 from __future__ import annotations
@@ -142,11 +142,9 @@ def fic_complexity(family, generator: FittedModel, sample_size: int,
 def true_complexity_mc(truth: FittedModel, family, sample_size: int,
                        replicates: int = 1000, seed: int = 0
                        ) -> MonteCarloEstimate:
-    """Oracle complexity: same computation as ``fic_complexity`` but
-    generated from the known simulation truth."""
-    [vals] = unwrap(_complexity_replicates([(family, truth)], sample_size,
-                                           replicates, seed))
-    return MonteCarloEstimate.from_values(vals, seed)
+    """Oracle complexity: ``fic_complexity`` generated from the known
+    simulation truth."""
+    return fic_complexity(family, truth, sample_size, replicates, seed)
 
 
 def fic(data: Dataset, family, replicates: int = 1000, seed: int = 0,
@@ -279,23 +277,3 @@ def _fisher_inverse(fisher: FisherMatrix,
                               rcond=1e-12, hermitian=True)
     return np.linalg.inv(fisher.entries)
 
-
-def rank_models(reports: Sequence[CriterionReport]):
-    """Ascending criterion order with deltas from the best model.
-
-    Ties break toward fewer continuous parameters, then by label.
-    """
-    if not reports:
-        raise ValueError("no reports to rank")
-    kinds = {r.criterion_kind for r in reports}
-    if len(kinds) > 1:
-        raise ValueError(f"mixed criterion kinds: {sorted(kinds)}")
-
-    def key(r: CriterionReport):
-        nparams = r.n_params if r.n_params is not None else math.inf
-        return (r.criterion_value, nparams, r.model_label)
-
-    ordered = sorted(reports, key=key)
-    best = ordered[0].criterion_value
-    return [(r.model_label, r.criterion_value, r.criterion_value - best)
-            for r in ordered]

@@ -391,24 +391,10 @@ def sequential_fourier_family(n: int, N: int) -> ModelFamily:
                        model_at=model_at, fisher_at=fisher_at)
 
 
-def greedy_selection(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Positions of the constant mode plus the n largest-magnitude
-    remaining coefficients, in order of selection.
-
-    Ties break toward the smaller absolute mode index, positive first,
-    so the selection is a pure function of the coefficients. The 1-D
-    reference of ``greedy_mask``.
-    """
-    N = coeffs.size
-    idx = fourier_indices(N)
-    order = np.lexsort((idx < 0, np.abs(idx), -np.abs(coeffs)))
-    order = order[order != 0]
-    return np.concatenate(([0], order[:n]))
-
-
 def greedy_mask(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Boolean mask of the positions ``greedy_selection`` keeps, for one
-    coefficient vector or for each row of a block.
+    """Boolean mask of the positions greedy selection keeps, for one
+    coefficient vector or for each row of a block: the constant mode
+    plus the n largest-magnitude remaining coefficients.
 
     A partition finds the n-th largest magnitude among positions
     1..N-1, and every magnitude at least as large is kept. In a row
@@ -451,7 +437,7 @@ def greedy_fourier_family(n: int, N: int) -> ModelFamily:
         c = fourier_transform(data)
         mask = greedy_mask(c, n)
         shape = c.shape[:-1] + (n + 1,)
-        positions = np.nonzero(mask)[-1].reshape(shape)
+        positions = (np.flatnonzero(mask) % N).reshape(shape)
         params = ParameterVector(c[mask].reshape(shape), tags=idx[positions])
         return _gaussian_model(params, kept=np.where(mask, c, 0.0))
 
@@ -489,7 +475,7 @@ def greedy_piecewise_complexity(n: int, N: int,
     c = np.asarray(generator_coefficients, dtype=float)
     if c.size != N:
         raise ValueError("need the full coefficient vector")
-    sel = greedy_selection(c, n)[1:]
+    sel = np.flatnonzero(greedy_mask(c, n))[1:]
     threshold = 2.0 * math.log(N)
     total = 1.0                                   # constant mode, regular
     for p in sel:

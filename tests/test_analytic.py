@@ -13,8 +13,7 @@ from fickit.analytic import (FisherMatrix, GridAxis, GridSpec,
                              LandscapeGrid, classify_coordinate,
                              coordinate_complexities, count_local_minima,
                              error_statistic_correlation, evt_complexity,
-                             information_landscape, max_chi2_mc,
-                             quadratic_error_statistic)
+                             information_landscape, max_chi2_mc)
 from fickit.core import (Dataset, FickitError, ParameterVector,
                          replicate_rng, replicate_values,
                          shannon_information, unwrap)
@@ -40,28 +39,31 @@ class TestFisherMatrix:
 
 
 class TestQuadraticErrorStatistic:
+    """The Fisher-metric quadratic form of parameter errors, averaged:
+    the sum of the coordinate complexities."""
+
     def test_zero_error(self):
-        f = FisherMatrix(np.eye(2))
-        assert quadratic_error_statistic([0.0, 0.0], f) == 0.0
+        out = coordinate_complexities(np.zeros((2, 2)), FisherMatrix(np.eye(2)))
+        assert [c.value for c in out] == [0.0, 0.0]
 
     def test_euclidean_norm(self):
-        f = FisherMatrix(np.eye(2))
-        assert quadratic_error_statistic([3.0, 4.0], f) == pytest.approx(25.0)
+        out = coordinate_complexities([[3.0, 4.0], [-3.0, -4.0]],
+                                      FisherMatrix(np.eye(2)))
+        assert sum(c.value for c in out) == pytest.approx(25.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            quadratic_error_statistic([1.0], FisherMatrix(np.eye(2)))
+            coordinate_complexities([[1.0], [2.0]], FisherMatrix(np.eye(2)))
 
     def test_gaussian_mean_unit_expectation(self):
         # E[N * (sample mean)^2] = 1 for unit-variance data.
         n, reps = 20, 2000
-        f = FisherMatrix(np.array([[float(n)]]))
-        vals = np.empty(reps)
-        for r in range(reps):
-            x = replicate_rng(51, r).standard_normal(n)
-            vals[r] = quadratic_error_statistic([x.mean()], f)
-        se = vals.std(ddof=1) / math.sqrt(reps)
-        assert abs(vals.mean() - 1.0) <= 3 * se
+        means = np.array([replicate_rng(51, r).standard_normal(n).mean()
+                          for r in range(reps)])
+        [k] = coordinate_complexities(means[:, None],
+                                      FisherMatrix(np.array([[float(n)]])))
+        se = (n * means ** 2).std(ddof=1) / math.sqrt(reps)
+        assert abs(k.value - 1.0) <= 3 * se
 
 
 class TestCoordinateComplexities:
@@ -99,8 +101,7 @@ class TestCoordinateComplexities:
         errors = rng.standard_normal((200, 2))
         out = coordinate_complexities(errors, fisher)
         total = sum(c.value for c in out)
-        mean_quad = np.mean([quadratic_error_statistic(e, fisher)
-                             for e in errors])
+        mean_quad = np.mean([e @ fisher.entries @ e for e in errors])
         assert total == pytest.approx(mean_quad, rel=1e-9)
 
     def test_classification_table(self):
@@ -211,6 +212,14 @@ class TestErrorStatisticCorrelation:
         c_ba = error_statistic_correlation(self.family, self.truth, b, a,
                                            self.N, 200, seed=73)
         assert c_ab == pytest.approx(c_ba, abs=1e-9)
+
+
+class TestGridAxis:
+    def test_span_beyond_float_range(self):
+        # stop - start overflows: a ValueError, not numpy's warnings and
+        # NaN grid values.
+        with pytest.raises(ValueError, match="float range"):
+            GridAxis(-1.7e308, 1.7e308, 2).values()
 
 
 class TestInformationLandscape:

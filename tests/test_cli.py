@@ -8,16 +8,15 @@ import tempfile
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fickit import cli
-from fickit.cli import (DEFAULT_SEED, EXIT_NUMERICAL, EXIT_OK, EXIT_ORACLE,
-                        EXIT_USAGE, ExperimentConfig, UsageError,
-                        cmd_evt_table, cmd_landscape, cmd_simulate, cmd_sweep,
-                        main, write_csv)
+from fickit.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_ORACLE, EXIT_USAGE,
+                        ExperimentConfig, UsageError, cmd_evt_table,
+                        cmd_landscape, cmd_simulate, cmd_sweep, main,
+                        write_csv)
 from fickit.core import FitError, derive_seed
 from fickit.models import neutrino_mean
 
@@ -98,7 +97,9 @@ class TestSimulate:
         for j in (1, 37, 100):
             assert float(rows[j - 1]["mu_true"]) == \
                 pytest.approx(mu[j - 1], rel=1e-10)
-        _, coeff_rows = _read_rows(coeff_path)
+        coeff_header, coeff_rows = _read_rows(coeff_path)
+        assert coeff_header == ["index", "true_coefficient",
+                                "fitted_coefficient"]
         assert len(coeff_rows) == 100
         indices = [int(r["index"]) for r in coeff_rows]
         assert indices == sorted(indices)
@@ -246,9 +247,10 @@ class TestLandscape:
 
     @pytest.mark.parametrize("family", ["sine_singular", "linear_regular"])
     def test_overflow_warns_nothing(self, tmp_path, family, capsys):
-        # An overflowing truth and a grid of only invalid cells: numpy's
-        # overflow and all-NaN warnings do not reach stderr, and the
-        # exit codes and outputs stay what they were.
+        # An overflowing truth, a grid axis whose span overflows and a
+        # grid of only invalid cells: numpy's overflow and all-NaN
+        # warnings do not reach stderr, and the exit codes and outputs
+        # stay what they were.
         truth = tmp_path / "truth.json"
         truth.write_text(json.dumps({
             "experiment": "landscape", "sample_size": 10, "replicates": 4,
@@ -259,10 +261,18 @@ class TestLandscape:
             "experiment": "landscape", "sample_size": 10, "replicates": 4,
             "landscape_family": family, "grid_axis1": [1e308, 1e308, 2],
             "grid_axis2": [1e308, 1e308, 3]}))
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({
+            "experiment": "landscape", "sample_size": 10, "replicates": 4,
+            "landscape_family": family,
+            "grid_axis1": [-1.7e308, 1.7e308, 2],
+            "grid_axis2": [-1.7e308, 1.7e308, 2]}))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["landscape", "--config", str(truth), "--out",
                          str(tmp_path / "a")]) == EXIT_USAGE
+            assert main(["landscape", "--config", str(wide), "--out",
+                         str(tmp_path / "c")]) == EXIT_USAGE
             assert main(["landscape", "--config", str(invalid), "--out",
                          str(tmp_path / "b")]) == EXIT_OK
         assert "Warning" not in capsys.readouterr().err
@@ -331,6 +341,16 @@ class TestMain:
         p = tmp_path / "config.json"
         p.write_text(config.serialize())
         assert main(["sweep", "--config", str(p)]) == EXIT_USAGE
+
+    def test_shipped_configs_load_for_their_command(self):
+        paths = sorted((Path(__file__).parents[1] / "configs").glob("*"))
+        assert paths
+        experiments = {e: name for name, (_, e) in cli._COMMANDS.items()}
+        for path in paths:
+            config = ExperimentConfig.load(path)
+            args = cli.build_parser().parse_args(
+                [experiments[config.experiment], "--config", str(path)])
+            assert cli._resolve_config(args) == config
 
     def test_missing_config_file(self, capsys):
         assert main(["sweep", "--config", "/nonexistent.json"]) == EXIT_USAGE
@@ -471,6 +491,10 @@ class TestConfigFuzz:
                             "landscape_truth": [1e308, 1e308],
                             "grid_axis1": [0.0, 1.0, 2],
                             "grid_axis2": [0.3, 1.0, 2]}))
+    @example(("landscape", {"experiment": "landscape", "sample_size": 4,
+                            "replicates": 2,
+                            "grid_axis1": [-1.7e308, 1.7e308, 2],
+                            "grid_axis2": [-1.7e308, 1.7e308, 2]}))
     @settings(max_examples=100, deadline=None)
     def test_main_ends_with_an_exit_code(self, case):
         command, raw = case

@@ -1,5 +1,5 @@
 """Information criteria: closed forms, Monte Carlo complexities,
-bootstrap, leave-one-out validation, and ranking."""
+bootstrap, leave-one-out validation, and model selection."""
 
 import dataclasses
 import math
@@ -11,11 +11,10 @@ import pytest
 from fickit.core import (Dataset, FickitError, FitError, ParameterVector,
                          StructuredDataError, replicate_rng,
                          shannon_information)
-from fickit.criteria import (CriterionReport, aic, aicc_exponential,
-                             aicc_linear_regression, bic,
-                             bootstrap_complexity, fic, fic_complexity,
+from fickit.criteria import (aic, aicc_exponential, aicc_linear_regression,
+                             bic, bootstrap_complexity, fic, fic_complexity,
                              fic_complexity_gradient, fic_variance_estimate,
-                             loocv, rank_models, true_complexity_mc)
+                             loocv, true_complexity_mc)
 from fickit.models import (exponential_family, exponential_model,
                            fixed_family, gaussian_mean_family,
                            gaussian_mean_model, greedy_fourier_family,
@@ -462,27 +461,7 @@ class TestFicVariance:
 
 
 class TestRankModels:
-    def test_single_report(self):
-        r = CriterionReport("only", "AIC", 1.0, 2.0, 3.0, 2)
-        assert rank_models([r]) == [("only", 3.0, 0.0)]
-
-    def test_ascending_with_deltas(self):
-        reports = [CriterionReport("b", "AIC", 0.0, 0.0, 5.0, 1),
-                   CriterionReport("a", "AIC", 0.0, 0.0, 3.0, 1)]
-        ranked = rank_models(reports)
-        assert [r[0] for r in ranked] == ["a", "b"]
-        assert ranked[1][2] == pytest.approx(2.0)
-
-    def test_tie_broken_by_dimension(self):
-        reports = [CriterionReport("big", "AIC", 0.0, 0.0, 3.0, 5),
-                   CriterionReport("small", "AIC", 0.0, 0.0, 3.0, 3)]
-        assert rank_models(reports)[0][0] == "small"
-
-    def test_mixed_kinds_rejected(self):
-        reports = [CriterionReport("a", "AIC", 0.0, 0.0, 1.0, 1),
-                   CriterionReport("b", "BIC", 0.0, 0.0, 1.0, 1)]
-        with pytest.raises(ValueError):
-            rank_models(reports)
+    """Models ranked by criterion value: the lowest FIC is selected."""
 
     def test_neutrino_sweep_selects_n_2(self):
         from fickit.cli import DEFAULT_SEED, _STREAM_DATA, _STREAM_FIC
@@ -495,4 +474,5 @@ class TestRankModels:
                        seed=derive_seed(DEFAULT_SEED, _STREAM_FIC, n),
                        label=f"n={n}")
                    for n in range(0, 7)]
-        assert rank_models(reports)[0][0] == "n=2"
+        best = min(reports, key=lambda r: r.criterion_value)
+        assert best.model_label == "n=2"
