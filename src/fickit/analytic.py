@@ -27,9 +27,6 @@ UNIDENTIFIABLE_MAX = 0.1
 REGULAR_TOL = 0.2
 MULTIPLICITY_MIN = 2.0
 
-# Chi-squared draws held at once by ``max_chi2_mc`` (80 MB of float64).
-_CHI2_CHUNK_DRAWS = 10_000_000
-
 
 @dataclass(frozen=True)
 class FisherMatrix:
@@ -122,11 +119,12 @@ def max_chi2_mc(m: int, nu: int, replicates: int,
         raise ValueError("replicates must be >= 2")
     rng = np.random.default_rng([int(seed) % 2**63])
     maxima = np.empty(replicates)
-    # A chunk draws whole replicates, or one replicate in pieces of
-    # columns when its m draws exceed the budget. Split calls continue
-    # one stream, so the draws do not depend on the chunking.
-    rows = max(1, _CHI2_CHUNK_DRAWS // m)
-    cols = min(m, _CHI2_CHUNK_DRAWS)
+    # A chunk of at most BLOCK_BYTES draws whole replicates, or one
+    # replicate in pieces of columns when its m draws exceed the
+    # budget. Split calls continue one stream, so the draws do not
+    # depend on the chunking.
+    rows = max(1, BLOCK_BYTES // (8 * m))
+    cols = min(m, BLOCK_BYTES // 8)
     for done in range(0, replicates, rows):
         top = maxima[done:done + rows]
         top[:] = -np.inf
@@ -151,10 +149,11 @@ def error_statistic_correlation(family, truth: FittedModel,
         raise ValueError("replicates must be >= 10")
     if family.model_at is None:
         raise ValueError("family does not expose model_at")
-    same = (np.array_equal(theta_a.coordinates, theta_b.coordinates)
-            and theta_a.tags == theta_b.tags)
     model_a = family.model_at(theta_a)
     model_b = family.model_at(theta_b)
+    if (np.array_equal(theta_a.coordinates, theta_b.coordinates)
+            and theta_a.tags == theta_b.tags):
+        return 1.0
     div_a = kl_divergence_mc(truth, model_a, truth, sample_size,
                              replicates, derive_seed(seed, 1)).value
     div_b = kl_divergence_mc(truth, model_b, truth, sample_size,
@@ -163,8 +162,6 @@ def error_statistic_correlation(family, truth: FittedModel,
         truth.sampler, sample_size, replicates, seed,
         [lambda x: error_statistic(x, truth, model_a, div_a),
          lambda x: error_statistic(x, truth, model_b, div_b)]))
-    if same:
-        return 1.0
     if ka.std() == 0.0 or kb.std() == 0.0:
         raise ValueError("error statistic has zero variance; "
                          "correlation undefined")
@@ -186,12 +183,6 @@ class GridAxis:
             raise ValueError(f"grid axis from {self.start} to {self.stop} "
                              "overflows the float range")
         return values
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    axis1: GridAxis
-    axis2: GridAxis
 
 
 @dataclass
@@ -233,10 +224,11 @@ def _unit_normal_mean(model: FittedModel, n: int) -> np.ndarray:
 
 
 def information_landscape(family, truth: FittedModel, data: Dataset,
-                          grid: GridSpec, replicates: int = 200,
+                          axis1: GridAxis, axis2: GridAxis,
+                          replicates: int = 200,
                           seed: int = 0) -> LandscapeGrid:
     """Evaluate the in-sample loss d on ``data`` and the Monte Carlo
-    expected loss D over a 2-parameter grid.
+    expected loss D over the grid ``axis1`` x ``axis2``.
 
     The truth and every cell model must be unit-variance Gaussian (a
     ``TypeError`` otherwise). With z = y - mu_0 for simulated data y and
@@ -255,8 +247,8 @@ def information_landscape(family, truth: FittedModel, data: Dataset,
     """
     if family.model_at is None:
         raise ValueError("family does not expose model_at")
-    a1 = grid.axis1.values()
-    a2 = grid.axis2.values()
+    a1 = axis1.values()
+    a2 = axis2.values()
     N = data.sample_size
     mu0 = _unit_normal_mean(truth, N)
     h_truth_data = shannon_information(data, truth)

@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .analytic import (GridAxis, GridSpec, evt_complexity,
-                       information_landscape, max_chi2_mc)
+from .analytic import (GridAxis, evt_complexity, information_landscape,
+                       max_chi2_mc)
 from .core import (Dataset, FickitError, MonteCarloEstimate,
                    ParameterVector, derive_seed, replicate_rng,
                    shannon_information)
@@ -365,15 +365,14 @@ def cmd_landscape(config: ExperimentConfig) -> list:
     """Information-landscape surfaces and the profile minimized over
     the first axis."""
     family, truth, data = _landscape_setup(config)
-    grid = GridSpec(GridAxis(*config.grid_axis1),
-                    GridAxis(*config.grid_axis2))
-    for name, axis in (("grid_axis1", grid.axis1), ("grid_axis2", grid.axis2)):
+    axes = GridAxis(*config.grid_axis1), GridAxis(*config.grid_axis2)
+    for name, axis in zip(("grid_axis1", "grid_axis2"), axes):
         try:
             axis.values()
         except ValueError as exc:           # a num no array can hold
             raise UsageError(f"{name}: {exc}") from exc
     grid_result = information_landscape(
-        family, truth, data, grid, replicates=config.replicates,
+        family, truth, data, *axes, replicates=config.replicates,
         seed=derive_seed(config.seed, 3))
     out = Path(config.out_dir)
     meta = _metadata(config, "landscape")

@@ -501,19 +501,17 @@ def sine_regression_model(amplitude, omega, N: int) -> FittedModel:
                            _fixed_mean(mean))
 
 
-def sine_regression_family(N: int, omega_max: float = np.pi,
-                           grid_points: int = 0) -> ModelFamily:
+def sine_regression_family(N: int) -> ModelFamily:
     """Singular example: amplitude times a sinusoid of unknown frequency
     in unit noise. At zero amplitude the frequency is unidentifiable and
     the in-sample landscape is rough."""
     if N < 2:
         raise ValueError("N must be >= 2")
     t = _sine_design(N)
-    num = grid_points or 8 * N
 
     def fit(data: Dataset) -> FittedModel:
-        omegas = np.linspace(omega_max / num, omega_max, num)
-        basis = np.sin(np.outer(omegas, t))           # num x N
+        omegas = np.linspace(np.pi / (8 * N), np.pi, 8 * N)
+        basis = np.sin(np.outer(omegas, t))           # 8N frequencies x N
         proj = _rows(lambda y: basis @ y, data.values)
         norm2 = (basis ** 2).sum(axis=1)
         gain = proj ** 2 / norm2

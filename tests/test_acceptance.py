@@ -13,7 +13,7 @@ from fickit.core import Dataset, ParameterVector, derive_seed, replicate_rng
 from fickit.criteria import (aicc_exponential, aicc_linear_regression, fic,
                              fic_complexity, fic_complexity_gradient,
                              fic_variance_estimate, true_complexity_mc)
-from fickit.analytic import (GridAxis, GridSpec, count_local_minima,
+from fickit.analytic import (GridAxis, count_local_minima,
                              evt_complexity, information_landscape,
                              max_chi2_mc)
 from fickit.models import (exponential_family, exponential_model,
@@ -348,8 +348,8 @@ def test_criterion_09_landscapes():
     family = linear_trend_family(N)
     truth = family.model_at(ParameterVector([0.25, 0.5]))
     data = truth.sampler(N, replicate_rng(derive_seed(109, 1), 0))
-    grid = GridSpec(GridAxis(-0.75, 1.25, 17), GridAxis(-0.5, 1.5, 17))
-    g = information_landscape(family, truth, data, grid, replicates=150,
+    axes = GridAxis(-0.75, 1.25, 17), GridAxis(-0.5, 1.5, 17)
+    g = information_landscape(family, truth, data, *axes, replicates=150,
                               seed=derive_seed(109, 2))
     i, j = g.argmin_D()
     step1 = g.axis1_values[1] - g.axis1_values[0]
@@ -363,8 +363,8 @@ def test_criterion_09_landscapes():
     family = sine_regression_family(N)
     truth = sine_regression_model(0.0, 0.9, N)
     data = truth.sampler(N, replicate_rng(derive_seed(109, 3), 0))
-    grid = GridSpec(GridAxis(-1.5, 1.5, 31), GridAxis(0.3, 1.5566, 81))
-    g = information_landscape(family, truth, data, grid, replicates=200,
+    axes = GridAxis(-1.5, 1.5, 31), GridAxis(0.3, 1.5566, 81)
+    g = information_landscape(family, truth, data, *axes, replicates=200,
                               seed=derive_seed(109, 4))
     profile_range = float(g.D_profile.max() - g.D_profile.min())
     noise = 5.0 * float(np.nanmedian(g.D_std_error))
