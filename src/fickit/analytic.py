@@ -14,9 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import (BLOCK_BYTES, LOG_2PI, Dataset, FickitError, FittedModel,
-                   MonteCarloEstimate, ParameterVector, derive_seed,
-                   error_statistic, kl_divergence_mc, replicate_values,
-                   shannon_information, unwrap)
+                   MonteCarloEstimate, ParameterVector, kl_statistic,
+                   replicate_values, shannon_information, unwrap)
 
 # Eigenvalues below this fraction of the largest are treated as
 # degenerate directions and pseudo-inverted.
@@ -152,16 +151,14 @@ def error_statistic_correlation(family, truth: FittedModel,
     model_a = family.model_at(theta_a)
     model_b = family.model_at(theta_b)
     if (np.array_equal(theta_a.coordinates, theta_b.coordinates)
-            and theta_a.tags == theta_b.tags):
+            and np.array_equal(theta_a.tags, theta_b.tags)):
         return 1.0
-    div_a = kl_divergence_mc(truth, model_a, truth, sample_size,
-                             replicates, derive_seed(seed, 1)).value
-    div_b = kl_divergence_mc(truth, model_b, truth, sample_size,
-                             replicates, derive_seed(seed, 2)).value
+    # An error statistic is a constant divergence minus kl_statistic,
+    # and a correlation ignores constants.
     ka, kb = unwrap(replicate_values(
         truth.sampler, sample_size, replicates, seed,
-        [lambda x: error_statistic(x, truth, model_a, div_a),
-         lambda x: error_statistic(x, truth, model_b, div_b)]))
+        [lambda x: kl_statistic(x, truth, model_a),
+         lambda x: kl_statistic(x, truth, model_b)]))
     if ka.std() == 0.0 or kb.std() == 0.0:
         raise ValueError("error statistic has zero variance; "
                          "correlation undefined")

@@ -129,27 +129,28 @@ def draw_rows(rng, law: str, n: int, *args) -> np.ndarray:
 @dataclass(frozen=True)
 class ParameterVector:
     """Continuous parameter coordinates plus optional discrete tags
-    (e.g. selected frequency indices of a greedy fit).
+    (e.g. selected frequency indices of a greedy fit). Both are stored
+    as read-only copies: the coordinates as a float array, the tags as
+    an int array of distinct values.
 
     The parameters of a fit to a block carry a leading axis: one row of
-    coordinates, and one tuple of tags, per dataset.
+    coordinates, and one row of tags, per dataset.
     """
 
     coordinates: np.ndarray
-    tags: Optional[tuple] = None
+    tags: Optional[np.ndarray] = None
 
     def __post_init__(self):
         coords = np.atleast_1d(np.array(self.coordinates, dtype=float))
         coords.setflags(write=False)
         object.__setattr__(self, "coordinates", coords)
         if self.tags is not None:
-            tags = np.asarray(self.tags, dtype=int)
+            tags = np.array(self.tags, dtype=int)
             ordered = np.sort(tags, axis=-1)
             if (ordered[..., 1:] == ordered[..., :-1]).any():
                 raise ValueError("discrete tags must be distinct")
-            rows = tags.tolist()
-            object.__setattr__(self, "tags", tuple(map(tuple, rows))
-                               if tags.ndim == 2 else tuple(rows))
+            tags.setflags(write=False)
+            object.__setattr__(self, "tags", tags)
 
     @property
     def dimension(self) -> int:

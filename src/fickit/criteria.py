@@ -139,14 +139,6 @@ def fic_complexity(family, generator: FittedModel, sample_size: int,
     return MonteCarloEstimate.from_values(vals, seed)
 
 
-def true_complexity_mc(truth: FittedModel, family, sample_size: int,
-                       replicates: int = 1000, seed: int = 0
-                       ) -> MonteCarloEstimate:
-    """Oracle complexity: ``fic_complexity`` generated from the known
-    simulation truth."""
-    return fic_complexity(family, truth, sample_size, replicates, seed)
-
-
 def fic(data: Dataset, family, replicates: int = 1000, seed: int = 0,
         label: str = "") -> CriterionReport:
     """Fit the family, then add the Monte Carlo complexity computed

@@ -22,11 +22,14 @@ class ModelFamily:
     Dataset into a FittedModel. Fit to a block, it returns one model
     that holds the fit to each row, exactly as if fit row by row.
 
-    ``structured_data`` marks families whose observations are not
-    exchangeable; resampling-style validation refuses them.
     ``model_at`` builds the candidate distribution at explicit
-    parameters; ``fisher_at(params, sample_size)`` gives the Fisher
-    matrix of the corresponding N-observation problem.
+    parameters: one row of them, or a block of rows (a leading axis),
+    for which it returns one model holding each row. ``fit`` returns
+    ``model_at`` of its estimate, so each family builds its models in
+    one place. ``structured_data`` marks families whose observations
+    are not exchangeable; resampling-style validation refuses them.
+    ``fisher_at(params, sample_size)`` gives the Fisher matrix of the
+    corresponding N-observation problem.
     """
 
     family_id: str
@@ -171,16 +174,6 @@ def gaussian_mean_family(K: int) -> ModelFamily:
                        model_at=model_at, fisher_at=fisher_at)
 
 
-def _regression_model(design: np.ndarray, beta: np.ndarray,
-                      variance) -> FittedModel:
-    beta = np.asarray(beta, dtype=float)
-    variance = np.asarray(variance, dtype=float)
-    params = ParameterVector(np.concatenate([beta, variance[..., None]],
-                                            axis=-1))
-    mean = _rows(lambda b: design @ b, beta)
-    return _gaussian_model(params, _fixed_mean(mean), variance)
-
-
 def linear_regression_family(design: np.ndarray) -> ModelFamily:
     """Linear least-squares regression with unknown noise variance.
 
@@ -205,16 +198,18 @@ def linear_regression_family(design: np.ndarray) -> ModelFamily:
         if np.any(variance <= 0.0):
             raise row_error(FitError, variance <= 0.0,
                             "zero residual variance: degenerate density")
-        return _regression_model(design, beta, variance)
+        return model_at(ParameterVector(
+            np.concatenate([beta, variance[..., None]], axis=-1)))
 
     def model_at(params: ParameterVector) -> FittedModel:
         coords = params.coordinates
-        if coords.size != p + 1:
+        if params.dimension != p + 1:
             raise ValueError("expected p coefficients plus a variance")
-        variance = float(coords[-1])
-        if variance <= 0.0:
+        variance = coords[..., -1]
+        if np.any(variance <= 0.0):
             raise ValueError("variance must be positive")
-        return _regression_model(design, coords[:-1], variance)
+        mean = _rows(lambda b: design @ b, coords[..., :-1])
+        return _gaussian_model(params, _fixed_mean(mean), variance)
 
     def fisher_at(params: ParameterVector, sample_size: int) -> FisherMatrix:
         variance = float(params.coordinates[-1])
@@ -260,7 +255,7 @@ def exponential_family() -> ModelFamily:
                                  / data.values.sum(axis=-1))
 
     def model_at(params: ParameterVector) -> FittedModel:
-        return exponential_model(float(params.coordinates[0]))
+        return exponential_model(params.coordinates[..., 0])
 
     def fisher_at(params: ParameterVector, sample_size: int) -> FisherMatrix:
         rate = float(params.coordinates[0])
@@ -370,16 +365,13 @@ def sequential_fourier_family(n: int, N: int) -> ModelFamily:
     sel = _sequential_positions(n, N)
 
     def fit(data: Dataset) -> FittedModel:
-        c = fourier_transform(data)
-        kept = np.zeros(c.shape)
-        kept[..., sel] = c[..., sel]
-        return _gaussian_model(ParameterVector(c[..., sel]), kept=kept)
+        return model_at(ParameterVector(fourier_transform(data)[..., sel]))
 
     def model_at(params: ParameterVector) -> FittedModel:
         if params.dimension != sel.size:
             raise ValueError("parameter dimension mismatch")
-        kept = np.zeros(N)
-        kept[sel] = params.coordinates
+        kept = np.zeros(params.coordinates.shape[:-1] + (N,))
+        kept[..., sel] = params.coordinates
         return _gaussian_model(params, kept=kept)
 
     def fisher_at(params: ParameterVector, sample_size: int) -> FisherMatrix:
@@ -438,15 +430,15 @@ def greedy_fourier_family(n: int, N: int) -> ModelFamily:
         mask = greedy_mask(c, n)
         shape = c.shape[:-1] + (n + 1,)
         positions = (np.flatnonzero(mask) % N).reshape(shape)
-        params = ParameterVector(c[mask].reshape(shape), tags=idx[positions])
-        return _gaussian_model(params, kept=np.where(mask, c, 0.0))
+        return model_at(ParameterVector(c[mask].reshape(shape),
+                                        tags=idx[positions]))
 
     def model_at(params: ParameterVector) -> FittedModel:
-        if params.tags is None or len(params.tags) != params.dimension:
+        coords = params.coordinates
+        if params.tags is None or params.tags.shape != coords.shape:
             raise ValueError("greedy parameters need one tag per coordinate")
-        kept = np.zeros(N)
-        sel = np.array([t % N for t in params.tags], dtype=int)
-        kept[sel] = params.coordinates
+        kept = np.zeros(coords.shape[:-1] + (N,))
+        np.put_along_axis(kept, params.tags % N, coords, -1)
         return _gaussian_model(params, kept=kept)
 
     def fisher_at(params: ParameterVector, sample_size: int) -> FisherMatrix:
@@ -487,27 +479,13 @@ def greedy_piecewise_complexity(n: int, N: int,
 # Two-parameter landscape examples
 # ---------------------------------------------------------------------------
 
-def _sine_design(N: int) -> np.ndarray:
-    return np.arange(N, dtype=float)
-
-
-def sine_regression_model(amplitude, omega, N: int) -> FittedModel:
-    """Amplitude times a sinusoid of the given frequency in unit noise
-    (one amplitude and frequency per row for a fit to a block)."""
-    a = np.asarray(amplitude, dtype=float)
-    w = np.asarray(omega, dtype=float)
-    mean = a[..., None] * np.sin(w[..., None] * _sine_design(N))
-    return _gaussian_model(ParameterVector(np.stack([a, w], axis=-1)),
-                           _fixed_mean(mean))
-
-
 def sine_regression_family(N: int) -> ModelFamily:
     """Singular example: amplitude times a sinusoid of unknown frequency
     in unit noise. At zero amplitude the frequency is unidentifiable and
     the in-sample landscape is rough."""
     if N < 2:
         raise ValueError("N must be >= 2")
-    t = _sine_design(N)
+    t = np.arange(N, dtype=float)
 
     def fit(data: Dataset) -> FittedModel:
         omegas = np.linspace(np.pi / (8 * N), np.pi, 8 * N)
@@ -517,11 +495,14 @@ def sine_regression_family(N: int) -> ModelFamily:
         gain = proj ** 2 / norm2
         best = np.argmax(gain, axis=-1)               # first max: fixed rule
         a = np.take_along_axis(proj, best[..., None], -1)[..., 0]
-        return sine_regression_model(a / norm2[best], omegas[best], N)
+        return model_at(ParameterVector(
+            np.stack([a / norm2[best], omegas[best]], axis=-1)))
 
     def model_at(params: ParameterVector) -> FittedModel:
-        a, omega = params.coordinates
-        return sine_regression_model(float(a), float(omega), N)
+        # An amplitude and a frequency per row; a wrong count fails to
+        # unpack with a ValueError.
+        a, omega = params.coordinates.T[..., None]
+        return _gaussian_model(params, _fixed_mean(a * np.sin(omega * t)))
 
     def fisher_at(params: ParameterVector, sample_size: int) -> FisherMatrix:
         a, omega = params.coordinates

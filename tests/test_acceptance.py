@@ -12,7 +12,7 @@ from fickit.cli import DEFAULT_SEED, ExperimentConfig, cmd_landscape, \
 from fickit.core import Dataset, ParameterVector, derive_seed, replicate_rng
 from fickit.criteria import (aicc_exponential, aicc_linear_regression, fic,
                              fic_complexity, fic_complexity_gradient,
-                             fic_variance_estimate, true_complexity_mc)
+                             fic_variance_estimate)
 from fickit.analytic import (GridAxis, count_local_minima,
                              evt_complexity, information_landscape,
                              max_chi2_mc)
@@ -21,8 +21,7 @@ from fickit.models import (exponential_family, exponential_model,
                            gaussian_mean_model, greedy_fourier_family,
                            linear_regression_family, linear_trend_family,
                            neutrino_mean, neutrino_truth,
-                           sequential_fourier_family, sine_regression_family,
-                           sine_regression_model)
+                           sequential_fourier_family, sine_regression_family)
 
 
 def _verdict(num, ok, detail):
@@ -152,8 +151,8 @@ def test_criterion_04_sequential_sweep():
         fitted = family.fit(data)
         k_fic = fic_complexity(family, fitted, N, replicates=500,
                                seed=derive_seed(104, 1))
-        k_true = true_complexity_mc(truth, family, N, replicates=500,
-                                    seed=derive_seed(104, 2))
+        k_true = fic_complexity(family, truth, N, replicates=500,
+                                seed=derive_seed(104, 2))
         if abs(k_fic.value - (2 * n + 1)) > 3 * k_fic.std_error:
             failures.append(f"n={n}: K_fic {k_fic.value:.2f} vs {2 * n + 1}")
         combined = math.hypot(k_fic.std_error, k_true.std_error)
@@ -177,8 +176,8 @@ def test_criterion_05_greedy_slope_transition():
         fitted = family.fit(data)
         k_fic.append(fic_complexity(family, fitted, N, replicates=500,
                                     seed=derive_seed(105, 1)))
-        k_true.append(true_complexity_mc(truth, family, N, replicates=500,
-                                         seed=derive_seed(105, 2)))
+        k_true.append(fic_complexity(family, truth, N, replicates=500,
+                                     seed=derive_seed(105, 2)))
     # References: the truth's coefficients, and for each level n >= 5
     # the fitted generator's (the data's coefficients at position 0 and
     # its n largest |c_i|, zero elsewhere).
@@ -361,7 +360,7 @@ def test_criterion_09_landscapes():
     # Singular family at N=100: flat D profile, rough d profile.
     N = 100
     family = sine_regression_family(N)
-    truth = sine_regression_model(0.0, 0.9, N)
+    truth = family.model_at(ParameterVector([0.0, 0.9]))
     data = truth.sampler(N, replicate_rng(derive_seed(109, 3), 0))
     axes = GridAxis(-1.5, 1.5, 31), GridAxis(0.3, 1.5566, 81)
     g = information_landscape(family, truth, data, *axes, replicates=200,

@@ -19,7 +19,7 @@ from fickit.core import (Dataset, FickitError, ParameterVector,
                          shannon_information, unwrap)
 from fickit.models import (exponential_model, gaussian_mean_family,
                            linear_regression_family, linear_trend_family,
-                           sine_regression_family, sine_regression_model)
+                           sine_regression_family)
 
 MAX_OF_TWO_CHI2 = 1.0 + 2.0 / math.pi
 
@@ -197,7 +197,7 @@ class TestErrorStatisticCorrelation:
     def setup_method(self):
         self.N = 100
         self.family = sine_regression_family(self.N)
-        self.truth = sine_regression_model(0.0, 1.0, self.N)
+        self.truth = self.family.model_at(ParameterVector([0.0, 1.0]))
 
     def test_identical_points(self):
         theta = ParameterVector([0.5, 0.8])
@@ -253,7 +253,7 @@ class TestInformationLandscape:
     def test_singular_landscape(self):
         N = 100
         family = sine_regression_family(N)
-        truth = sine_regression_model(0.0, 0.9, N)
+        truth = family.model_at(ParameterVector([0.0, 0.9]))
         data = truth.sampler(N, replicate_rng(83, 0))
         axes = GridAxis(-1.5, 1.5, 31), GridAxis(0.3, 1.5566, 81)
         g = information_landscape(family, truth, data, *axes,
@@ -334,7 +334,8 @@ def _reference_landscape(family, truth, data, axis1, axis2, replicates,
 
 
 def _sine_case(N):
-    return sine_regression_family(N), sine_regression_model(0.0, 0.9, N)
+    family = sine_regression_family(N)
+    return family, family.model_at(ParameterVector([0.0, 0.9]))
 
 
 def _trend_case(N):

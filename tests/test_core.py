@@ -13,7 +13,7 @@ from fickit.core import (Dataset, DensityError, FitError, FittedModel,
                          error_statistic, kl_divergence_mc, kl_statistic,
                          replicate_rng, replicate_values, shannon_information,
                          unwrap)
-from fickit.criteria import true_complexity_mc
+from fickit.criteria import fic_complexity
 from fickit.models import exponential_family, exponential_model, \
     gaussian_mean_family, gaussian_mean_model
 
@@ -64,6 +64,15 @@ class TestParameterVector:
     def test_rejects_duplicate_tags(self):
         with pytest.raises(ValueError):
             ParameterVector([1.0, 2.0], tags=(3, 3))
+
+    def test_tags_are_a_read_only_int_array(self):
+        source = [3, -5]
+        p = ParameterVector([1.0, 2.0], tags=source)
+        source[0] = 7                       # the tags are a copy
+        assert p.tags.dtype.kind == "i"
+        assert np.array_equal(p.tags, [3, -5])
+        with pytest.raises(ValueError):
+            p.tags[0] = 4
 
 
 class TestMonteCarloEstimate:
@@ -274,6 +283,6 @@ class TestErrorStatistic:
         # Same quantity through the direct generalization-gap estimator.
         truth = gaussian_mean_model([0.0])
         family = gaussian_mean_family(1)
-        direct = true_complexity_mc(truth, family, 10, replicates=3000,
-                                    seed=22)
+        direct = fic_complexity(family, truth, 10, replicates=3000,
+                                seed=22)
         assert abs(direct.value - 1.0) <= 3 * direct.std_error

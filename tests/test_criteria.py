@@ -14,7 +14,7 @@ from fickit.core import (Dataset, FickitError, FitError, ParameterVector,
 from fickit.criteria import (aic, aicc_exponential, aicc_linear_regression,
                              bic, bootstrap_complexity, fic, fic_complexity,
                              fic_complexity_gradient, fic_variance_estimate,
-                             loocv, true_complexity_mc)
+                             loocv)
 from fickit.models import (exponential_family, exponential_model,
                            fixed_family, gaussian_mean_family,
                            gaussian_mean_model, greedy_fourier_family,
@@ -337,15 +337,15 @@ class TestTrueComplexity:
     def test_zero_parameter_family(self):
         truth = gaussian_mean_model([0.0])
         family = fixed_family(truth)
-        est = true_complexity_mc(truth, family, 10, replicates=100, seed=31)
+        est = fic_complexity(family, truth, 10, replicates=100, seed=31)
         assert est.value == 0.0
         assert est.std_error == 0.0
 
     def test_agrees_with_candidate_complexity_when_well_specified(self):
         truth = gaussian_mean_model([0.4])
         family = gaussian_mean_family(1)
-        oracle = true_complexity_mc(truth, family, 10,
-                                    replicates=800, seed=32)
+        oracle = fic_complexity(family, truth, 10,
+                                replicates=800, seed=32)
         candidate = fic_complexity(family, family.model_at(
             ParameterVector([-2.0])), 10, replicates=800, seed=33)
         combined = math.hypot(oracle.std_error, candidate.std_error)

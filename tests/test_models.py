@@ -19,8 +19,7 @@ from fickit.models import (exponential_family, exponential_model,
                            inverse_fourier_transform,
                            linear_regression_family, linear_trend_family,
                            neutrino_mean, neutrino_truth,
-                           sequential_fourier_family, sine_regression_family,
-                           sine_regression_model)
+                           sequential_fourier_family, sine_regression_family)
 
 
 class TestGaussianMeanFamily:
@@ -247,26 +246,33 @@ def _block_cases():
     design = np.column_stack([np.ones(N), np.linspace(0.0, 1.0, N)])
     regression = linear_regression_family(design)
     trend = linear_trend_family(N)
-    return [
-        (gaussian_mean_family(3), gaussian_mean_model([0.5, -1.0, 2.0])),
-        (regression, regression.model_at(ParameterVector([1.0, -2.0, 1.5]))),
-        (exponential_family(), exponential_model(1.5)),
-        (fixed_family(gaussian_mean_model([0.3])), gaussian_mean_model([0.0])),
-        (sequential_fourier_family(3, N), neutrino_truth(N)),
-        (greedy_fourier_family(5, N), neutrino_truth(N)),
-        (sine_regression_family(N), sine_regression_model(1.0, 0.8, N)),
-        (trend, trend.model_at(ParameterVector([0.5, 1.0]))),
-    ]
+    sine = sine_regression_family(N)
+    return {
+        "gaussian_mean": (gaussian_mean_family(3),
+                          gaussian_mean_model([0.5, -1.0, 2.0])),
+        "linear_regression": (regression, regression.model_at(
+            ParameterVector([1.0, -2.0, 1.5]))),
+        "exponential": (exponential_family(), exponential_model(1.5)),
+        "fixed": (fixed_family(gaussian_mean_model([0.3])),
+                  gaussian_mean_model([0.0])),
+        "sequential_fourier": (sequential_fourier_family(3, N),
+                               neutrino_truth(N)),
+        "greedy_fourier": (greedy_fourier_family(5, N), neutrino_truth(N)),
+        "sine_regression": (sine, sine.model_at(ParameterVector([1.0, 0.8]))),
+        "linear_trend": (trend, trend.model_at(ParameterVector([0.5, 1.0]))),
+    }
+
+
+BLOCK_CASES = _block_cases()
+# A fixed family has no estimate: its one model holds no row per dataset.
+FITTED_CASES = {k: v for k, v in BLOCK_CASES.items() if k != "fixed"}
 
 
 class TestBlockFits:
     """A fit to a block equals the fits to its rows, bit for bit."""
 
-    @pytest.mark.parametrize(
-        "family, generator", _block_cases(),
-        ids=["gaussian_mean", "linear_regression", "exponential", "fixed",
-             "sequential_fourier", "greedy_fourier", "sine_regression",
-             "linear_trend"])
+    @pytest.mark.parametrize("family, generator", BLOCK_CASES.values(),
+                             ids=BLOCK_CASES.keys())
     def test_block_fit_and_score_match_rows(self, family, generator):
         N, R = 24, 6
         rngs = [replicate_rng(61, r) for r in range(R)]
@@ -295,7 +301,23 @@ class TestBlockFits:
                 np.broadcast_to(coords, (R, coords.shape[-1]))[r],
                 fit_r.params.coordinates)
             if fit_r.params.tags is not None:
-                assert fit.params.tags[r] == fit_r.params.tags
+                assert np.array_equal(fit.params.tags[r],
+                                      fit_r.params.tags)
+
+    @pytest.mark.parametrize("family, generator", FITTED_CASES.values(),
+                             ids=FITTED_CASES.keys())
+    def test_fit_is_model_at_of_its_estimate(self, family, generator):
+        N, R = 24, 5
+        block = generator.sampler(N, [replicate_rng(62, r) for r in range(R)])
+        fit = family.fit(block)
+        h = fit.log_density(block)
+        assert np.array_equal(family.model_at(fit.params).log_density(block),
+                              h)
+        coords, tags = fit.params.coordinates, fit.params.tags
+        for r in range(R):
+            model = family.model_at(ParameterVector(
+                coords[r], tags=None if tags is None else tags[r]))
+            assert model.log_density(Dataset(block.values[r])) == h[r]
 
     def test_block_logs_are_math_log(self):
         # numpy's vectorised log may differ from math.log in the last
@@ -382,11 +404,8 @@ class TestNoise:
     """Every model samples through its noise law and ``from_noise``,
     and leaves a shared noise block as it was."""
 
-    @pytest.mark.parametrize(
-        "family, generator", _block_cases(),
-        ids=["gaussian_mean", "linear_regression", "exponential", "fixed",
-             "sequential_fourier", "greedy_fourier", "sine_regression",
-             "linear_trend"])
+    @pytest.mark.parametrize("family, generator", BLOCK_CASES.values(),
+                             ids=BLOCK_CASES.keys())
     def test_sampler_is_from_noise_of_draw(self, family, generator):
         N, R = 24, 5
         rngs = [replicate_rng(62, r) for r in range(R)]
