@@ -220,6 +220,37 @@ def _unit_normal_mean(model: FittedModel, n: int) -> np.ndarray:
     return model.mean(n)
 
 
+def _cell_means(family, params: np.ndarray, N: int) -> np.ndarray:
+    """The (cells, N) means of the cell models at the parameter rows
+    ``params``, a NaN row for each cell the family rejects.
+
+    One ``model_at`` call builds the block. A block it fails on
+    (``ValueError``, ``TypeError`` or ``FickitError``), or does not
+    build as a unit-variance Gaussian with one mean row per cell, is
+    bisected: only rejected cells are flagged, and a family that takes
+    no blocks ends cell by cell. A single cell is built from its 1-D
+    row; ``ValueError`` or ``FickitError`` flags it, and any other
+    error propagates.
+    """
+    if len(params) == 1:
+        means = np.full((1, N), np.nan)
+        try:
+            means[0] = _unit_normal_mean(
+                family.model_at(ParameterVector(params[0])), N)
+        except (ValueError, FickitError):
+            pass
+        return means
+    try:
+        means = _unit_normal_mean(family.model_at(ParameterVector(params)),
+                                  N)
+        if np.shape(means) == (len(params), N):
+            return means
+    except (ValueError, TypeError, FickitError):
+        pass
+    return np.concatenate([_cell_means(family, half, N)
+                           for half in np.array_split(params, 2)])
+
+
 def information_landscape(family, truth: FittedModel, data: Dataset,
                           axis1: GridAxis, axis2: GridAxis,
                           replicates: int = 200,
@@ -236,7 +267,10 @@ def information_landscape(family, truth: FittedModel, data: Dataset,
     The R simulations, shared by every cell (common random numbers),
     are drawn in chunks and kept only as those sums, so memory does not
     grow with R. Cells are scored in chunks of ``BLOCK_BYTES`` per
-    (cells x N) array, d exactly as the models' densities give it.
+    (cells x N) array, d exactly as the models' densities give it. The
+    models of a chunk come from one ``model_at`` call for its block of
+    parameter rows; a chunk the family rejects is bisected down to the
+    cells it rejects.
 
     Cells whose parameters the family rejects (``ValueError`` or a
     ``FickitError``) or whose losses overflow are flagged, not fatal,
@@ -270,14 +304,8 @@ def information_landscape(family, truth: FittedModel, data: Dataset,
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, cells, rows):
             block = slice(start, min(start + rows, cells))
-            means = np.full((block.stop - start, N), np.nan)  # NaN: invalid
-            for k in range(block.stop - start):
-                i, j = divmod(start + k, a2.size)
-                try:
-                    model = family.model_at(ParameterVector([a1[i], a2[j]]))
-                    means[k] = _unit_normal_mean(model, N)
-                except (ValueError, FickitError):
-                    pass
+            i, j = np.divmod(np.arange(block.start, block.stop), a2.size)
+            means = _cell_means(family, np.column_stack([a1[i], a2[j]]), N)
             sq = data.values - means
             np.square(sq, out=sq)
             d[block] = (0.5 * N * LOG_2PI + 0.5 * sq.sum(axis=-1)

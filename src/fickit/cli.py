@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +44,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_ORACLE = 3
+
+# Largest landscape grid, in cells (num1 x num2): its surfaces and its
+# CSV rows are held whole, so a larger grid is a usage error before
+# any work starts.
+MAX_GRID_CELLS = 2 ** 20
 
 _STREAM_DATA = 0
 _STREAM_FIC = 1
@@ -169,6 +174,8 @@ class ExperimentConfig:
 
 
 def _fmt(x) -> str:
+    if type(x) is float:                  # most fields: the fast path
+        return "" if math.isnan(x) else format(x, ".12g")
     if x is None:
         return ""
     if isinstance(x, str):
@@ -184,7 +191,7 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: Path, metadata: dict, header: Sequence[str],
-              rows: Sequence[Sequence]) -> Path:
+              rows: Iterable[Sequence]) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"# {k} = {v}" for k, v in metadata.items()]
     lines.append(",".join(header))
@@ -364,27 +371,31 @@ def _landscape_setup(config: ExperimentConfig):
 def cmd_landscape(config: ExperimentConfig) -> list:
     """Information-landscape surfaces and the profile minimized over
     the first axis."""
-    family, truth, data = _landscape_setup(config)
+    if config.grid_axis1[2] * config.grid_axis2[2] > MAX_GRID_CELLS:
+        raise UsageError(f"grid_axis1 x grid_axis2 asks for more than "
+                         f"{MAX_GRID_CELLS} cells")
     axes = GridAxis(*config.grid_axis1), GridAxis(*config.grid_axis2)
     for name, axis in zip(("grid_axis1", "grid_axis2"), axes):
         try:
             axis.values()
-        except ValueError as exc:           # a num no array can hold
+        except ValueError as exc:           # a span beyond the float range
             raise UsageError(f"{name}: {exc}") from exc
+    family, truth, data = _landscape_setup(config)
     grid_result = information_landscape(
         family, truth, data, *axes, replicates=config.replicates,
         seed=derive_seed(config.seed, 3))
     out = Path(config.out_dir)
     meta = _metadata(config, "landscape")
-    surf_rows = []
-    for i, v1 in enumerate(grid_result.axis1_values):
-        for j, v2 in enumerate(grid_result.axis2_values):
-            surf_rows.append((v1, v2, grid_result.d_surface[i, j],
-                              grid_result.D_surface[i, j]))
+    a1, a2 = grid_result.axis1_values, grid_result.axis2_values
+    # Rows built column by column: Python floats take _fmt's fast path.
+    surf_rows = zip(np.repeat(a1, a2.size).tolist(),
+                    np.tile(a2, a1.size).tolist(),
+                    grid_result.d_surface.ravel().tolist(),
+                    grid_result.D_surface.ravel().tolist())
     surf_path = write_csv(out / "landscape.csv", meta,
                           ["theta1", "theta2", "d", "D"], surf_rows)
-    prof_rows = list(zip(grid_result.axis2_values, grid_result.d_profile,
-                         grid_result.D_profile))
+    prof_rows = zip(a2.tolist(), grid_result.d_profile.tolist(),
+                    grid_result.D_profile.tolist())
     prof_path = write_csv(out / "profile.csv", meta,
                           ["theta2", "d_profile", "D_profile"], prof_rows)
     return [surf_path, prof_path]

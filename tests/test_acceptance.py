@@ -2,15 +2,13 @@
 PASS/FAIL line with the measured values before asserting."""
 
 import math
-from pathlib import Path
 
 import numpy as np
-import pytest
 
 from fickit.cli import DEFAULT_SEED, ExperimentConfig, cmd_landscape, \
     cmd_simulate, cmd_sweep
-from fickit.core import Dataset, ParameterVector, derive_seed, replicate_rng
-from fickit.criteria import (aicc_exponential, aicc_linear_regression, fic,
+from fickit.core import ParameterVector, derive_seed, replicate_rng
+from fickit.criteria import (aicc_exponential, aicc_linear_regression,
                              fic_complexity, fic_complexity_gradient,
                              fic_variance_estimate)
 from fickit.analytic import (GridAxis, count_local_minima,

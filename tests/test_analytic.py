@@ -17,9 +17,9 @@ from fickit.analytic import (FisherMatrix, GridAxis, LandscapeGrid,
 from fickit.core import (Dataset, FickitError, ParameterVector,
                          replicate_rng, replicate_values,
                          shannon_information, unwrap)
-from fickit.models import (exponential_model, gaussian_mean_family,
-                           linear_regression_family, linear_trend_family,
-                           sine_regression_family)
+from fickit.models import (exponential_model, fixed_family,
+                           gaussian_mean_family, linear_regression_family,
+                           linear_trend_family, sine_regression_family)
 
 MAX_OF_TWO_CHI2 = 1.0 + 2.0 / math.pi
 
@@ -343,6 +343,18 @@ def _trend_case(N):
     return family, family.model_at(ParameterVector([0.25, 0.5]))
 
 
+def _fixed_case(family, truth):
+    # Every model, a block's too, has the truth's (N,) mean.
+    return fixed_family(truth)
+
+
+def _float_reader_case(family, truth):
+    # Reads its parameters with float(), a TypeError for a block.
+    return SimpleNamespace(model_at=lambda params: family.model_at(
+        ParameterVector([float(params.coordinates[0]),
+                         float(params.coordinates[1])])))
+
+
 @pytest.mark.filterwarnings("error")
 class TestLandscapeAgainstReference:
     # The second axis-1 grid reaches amplitudes or intercepts whose
@@ -368,6 +380,94 @@ class TestLandscapeAgainstReference:
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(got.D_std_error, ref.D_std_error,
                                    rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("case", [_sine_case, _trend_case])
+    def test_chunks_split_rows_around_rejected_cells(self, monkeypatch,
+                                                     case):
+        # Chunks of 5 cells on a 7 x 9 grid, so chunks split grid rows.
+        # Cell 7 is rejected alone in the middle of a chunk, 12 and 13
+        # together across a chunk boundary, 62 alone in the last chunk.
+        N = 24
+        family, truth = case(N)
+        data = truth.sampler(N, replicate_rng(99, 0))
+        axes = GridAxis(-1.5, 1.5, 7), GridAxis(0.3, 1.5, 9)
+        a1, a2 = axes[0].values(), axes[1].values()
+        rejected = {(a1[i], a2[j]) for i, j in
+                    (divmod(k, a2.size) for k in (7, 12, 13, 30, 62))}
+        calls = []
+
+        def model_at(params):
+            calls.append(params.coordinates.shape)
+            rows = np.atleast_2d(params.coordinates)
+            if any((r[0], r[1]) in rejected for r in rows):
+                raise ValueError("rejected cell")
+            return family.model_at(params)
+
+        picky = SimpleNamespace(model_at=model_at)
+        monkeypatch.setattr(analytic, "BLOCK_BYTES", 8 * N * 5)
+        got = information_landscape(picky, truth, data, *axes,
+                                    replicates=30, seed=100)
+        block_calls = len(calls)
+        ref = _reference_landscape(picky, truth, data, *axes, 30, seed=100)
+        assert np.flatnonzero(got.invalid).tolist() == [7, 12, 13, 30, 62]
+        np.testing.assert_array_equal(got.invalid, ref.invalid)
+        np.testing.assert_array_equal(got.d_surface, ref.d_surface)
+        np.testing.assert_allclose(got.D_surface, ref.D_surface,
+                                   rtol=0, atol=1e-12)
+        # Fewer calls than cells: 13 chunks, and only the four holding a
+        # rejected cell are bisected.
+        assert block_calls < 63
+
+    @pytest.mark.parametrize("blind", [_fixed_case, _float_reader_case])
+    def test_block_blind_family_matches_reference(self, monkeypatch,
+                                                  blind):
+        N = 12
+        family, truth = _sine_case(N)
+        blind_family = blind(family, truth)
+        data = truth.sampler(N, replicate_rng(101, 0))
+        axes = GridAxis(-1.0, 1.0, 5), GridAxis(0.3, 1.5, 7)
+        monkeypatch.setattr(analytic, "BLOCK_BYTES", 8 * N * 8)
+        got = information_landscape(blind_family, truth, data, *axes,
+                                    replicates=20, seed=102)
+        ref = _reference_landscape(blind_family, truth, data, *axes, 20,
+                                   seed=102)
+        assert not got.invalid.any()
+        np.testing.assert_array_equal(got.invalid, ref.invalid)
+        np.testing.assert_array_equal(got.d_surface, ref.d_surface)
+        np.testing.assert_allclose(got.D_surface, ref.D_surface,
+                                   rtol=0, atol=1e-12)
+
+    def test_one_model_at_call_per_chunk(self):
+        # The default singular landscape: 31 x 81 cells at N = 100.
+        N = 100
+        family, truth = _sine_case(N)
+        data = truth.sampler(N, replicate_rng(103, 0))
+        calls = []
+
+        def model_at(params):
+            calls.append(params.coordinates.shape)
+            return family.model_at(params)
+
+        axes = GridAxis(-1.5, 1.5, 31), GridAxis(0.3, 1.5566, 81)
+        information_landscape(SimpleNamespace(model_at=model_at), truth,
+                              data, *axes, replicates=10, seed=104)
+        rows = analytic.BLOCK_BYTES // (8 * N)
+        assert len(calls) <= math.ceil(31 * 81 / rows) + 1
+
+    def test_memory_bounded_in_cells(self):
+        # One (cells x N) array of the 200 x 200 grid would take 32 MB.
+        N = 100
+        family, truth = _sine_case(N)
+        data = truth.sampler(N, replicate_rng(105, 0))
+        axes = GridAxis(-1.5, 1.5, 200), GridAxis(0.3, 1.5, 200)
+        tracemalloc.start()
+        try:
+            information_landscape(family, truth, data, *axes,
+                                  replicates=10, seed=106)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 200 * 200 * N / 8
 
     def _axes(self):
         return GridAxis(-1.0, 1.0, 3), GridAxis(1.0, 2.0, 2)

@@ -8,6 +8,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -83,6 +84,18 @@ class TestWriteCsv:
         text = path.read_text(encoding="utf-8")
         assert text.splitlines() == ["# seed = 5", "# N = 10", "a,b,c",
                                      "1,0.5,x", "2,,"]
+
+
+@pytest.mark.parametrize("value, text", [
+    (0.5, "0.5"), (np.float64(1 / 3), "0.333333333333"), (-0.0, "-0"),
+    (np.float64(-0.0), "-0"), (math.nan, ""), (np.float64(math.nan), ""),
+    (math.inf, "inf"), (-math.inf, "-inf"), (5e-324, "4.94065645841e-324"),
+    (1e300, "1e+300"), (7, "7"), (np.int64(-3), "-3"), (True, "true"),
+    (np.bool_(False), "false"), (None, ""), ("abc", "abc")])
+def test_fmt_strings(value, text):
+    # Python floats take the first branch; every other type keeps its
+    # own, and both give the same strings.
+    assert cli._fmt(value) == text
 
 
 class TestSimulate:
@@ -298,6 +311,41 @@ class TestLandscape:
         with pytest.raises(UsageError, match="grid_axis1"):
             cmd_landscape(config)
 
+    # 1025 x 1025 is over the cap though each axis alone is not.
+    @pytest.mark.parametrize("num1, num2", [(1025, 1025), (2, 2 ** 19 + 1),
+                                            (2 ** 40, 2 ** 40)])
+    def test_grid_over_the_cell_cap(self, tmp_path, monkeypatch, num1,
+                                    num2):
+        # Rejected before the family, the data or any grid array exist.
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("work started on an over-cap grid")
+
+        monkeypatch.setattr(cli, "_landscape_setup", must_not_run)
+        monkeypatch.setattr(cli, "information_landscape", must_not_run)
+        monkeypatch.setattr(cli.GridAxis, "values", must_not_run)
+        config = ExperimentConfig(
+            experiment="landscape", grid_axis1=(0.0, 1.0, num1),
+            grid_axis2=(0.3, 1.0, num2), out_dir=str(tmp_path / "out"))
+        with pytest.raises(UsageError, match="grid_axis1"):
+            cmd_landscape(config)
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_at_the_cell_cap_passes_validation(self, monkeypatch):
+        # Validation passes and set-up starts; nothing runs at this size.
+        class SetupStarted(Exception):
+            pass
+
+        def setup(config):
+            raise SetupStarted
+
+        monkeypatch.setattr(cli, "_landscape_setup", setup)
+        config = ExperimentConfig(experiment="landscape",
+                                  grid_axis1=(0.0, 1.0, 2 ** 10),
+                                  grid_axis2=(0.3, 1.0, 2 ** 10))
+        assert cli.MAX_GRID_CELLS == 2 ** 20
+        with pytest.raises(SetupStarted):
+            cmd_landscape(config)
+
     def test_deterministic_bytes(self, tmp_path):
         for d in ("a", "b"):
             config = ExperimentConfig(
@@ -433,7 +481,8 @@ _ALWAYS = {
     "replicates": _mixed(st.integers(2, 4),
                          [-1, 0, 1, 2.5] + _HUGE[:1] + _WRONG),
     "grid_axis1": _mixed(_GRID, [[0.0, 1.0], "grid", [0.0, 1.0, 10 ** 400]]),
-    "grid_axis2": _mixed(_GRID, [[0.0, 1.0, 2, 3], [math.inf, 1.0, 2]]),
+    "grid_axis2": _mixed(_GRID, [[0.0, 1.0, 2, 3], [math.inf, 1.0, 2],
+                                 [0.0, 1.0, 2 ** 19 + 1]]),    # over cap
     "evt_m_values": _mixed(st.lists(st.integers(1, 50), max_size=3),
                            [[0], [-3], [1.5], "10", [True]]),
     "evt_nu_values": _mixed(st.lists(st.integers(1, 3), max_size=3),
@@ -495,6 +544,10 @@ class TestConfigFuzz:
                             "replicates": 2,
                             "grid_axis1": [-1.7e308, 1.7e308, 2],
                             "grid_axis2": [-1.7e308, 1.7e308, 2]}))
+    @example(("landscape", {"experiment": "landscape", "sample_size": 4,
+                            "replicates": 2,
+                            "grid_axis1": [0.0, 1.0, 1025],
+                            "grid_axis2": [0.3, 1.0, 1025]}))
     @settings(max_examples=100, deadline=None)
     def test_main_ends_with_an_exit_code(self, case):
         command, raw = case
