@@ -12,6 +12,8 @@ replicates a block at a time; see ``replicate_values``.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -59,8 +61,69 @@ def row_error(cls, bad, message: str) -> Exception:
 
 
 def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
-    """Independent RNG stream for one Monte Carlo replicate."""
+    """Independent RNG stream for one Monte Carlo replicate. The
+    reference for ``replicate_values``, which seeds the same streams
+    bit for bit, a window of replicates at a time."""
     return np.random.default_rng([int(seed) % 2**63, int(replicate)])
+
+
+# numpy's SeedSequence hash, pool size 4. Its i-th hash of mix_entropy
+# (A) or generate_state (B) xors a uint32 word by INIT * MULT**i and
+# multiplies it by INIT * MULT**(i + 1) mod 2**32: constants of no data.
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+_HASH_A, _HASH_B = ([init * pow(mult, i, 2**32) % 2**32 for i in range(17)]
+                    for init, mult in ((_INIT_A, _MULT_A), (_INIT_B, _MULT_B)))
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of uint32 words, constants given."""
+    v = (v ^ xor) * mult
+    return v ^ (v >> 16)
+
+
+def _stream_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """``SeedSequence([seed % 2**63, r]).generate_state(4, np.uint64)``
+    for r in start..stop-1, one row each, hashed as one uint32 column
+    per replicate. The entropy words are the seed's one or two, then
+    r's low and high word: a zero word hashes as a missing one, so any
+    r below 2**64 fits the pool (``np.arange`` refuses a larger one).
+    """
+    s = int(seed) % 2**63
+    r = np.arange(start, stop, dtype=np.uint64)
+    pool = np.zeros((4, r.size), np.uint32)
+    k = 1 if s < 2**32 else 2
+    pool[:k] = np.array([s % 2**32, s >> 32][:k], np.uint32)[:, None]
+    pool[k], pool[k + 1] = r % 2**32, r >> 32
+    # Made per call, not at import: numpy's uint32 code pages (about
+    # 64 KB resident) are then paid only by a run that seeds streams.
+    a, b = (np.array(h, np.uint32)[:, None] for h in (_HASH_A, _HASH_B))
+    pool = _hashmix(pool, a[:4], a[1:5])
+    for i, (src, dst) in enumerate(itertools.permutations(range(4), 2), 4):
+        mixed = (_MIX_MULT_L * pool[dst]
+                 - _MIX_MULT_R * _hashmix(pool[src], a[i], a[i + 1]))
+        pool[dst] = mixed ^ (mixed >> 16)
+    state = _hashmix(pool[[0, 1, 2, 3] * 2], b[:8], b[1:9])
+    return np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _stream_from_words() -> Callable:
+    """``words -> Generator(PCG64(seq))`` for a minimal ISeedSequence
+    ``seq`` whose state is those words (PCG64 asks for 4 uint64). Built
+    on first use, so importing fickit does not load ``numpy.random``."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return lambda words: Generator(PCG64(Words(words)))
 
 
 def derive_seed(seed: int, *tags: int) -> int:
@@ -228,7 +291,9 @@ def replicate_values(draw, sample_size: int, replicates: int, seed: int,
     once, row i from stream start + i, and each statistic maps the
     blocks to one value (or one row of values) per block row. A value
     therefore depends neither on the replicate count, nor on the
-    chunks, nor on the other statistics.
+    chunks, nor on the other statistics. The streams are built bit for
+    bit as ``replicate_rng`` builds them, from seed words hashed for a
+    window of chunks at a time.
 
     Returns one entry per statistic: an array with one row per
     replicate, or the error that stopped the statistic. The error names
@@ -240,13 +305,19 @@ def replicate_values(draw, sample_size: int, replicates: int, seed: int,
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
     rows = max(1, BLOCK_BYTES // (8 * int(sample_size)))
+    # The streams' seed words are hashed a window of whole chunks at a
+    # time: BLOCK_BYTES of 32-byte rows, or one chunk when that is more.
+    window = rows * max(1, BLOCK_BYTES // (32 * rows))
+    stream = _stream_from_words()
     out = [None] * len(statistics)
     for start in range(0, replicates, rows):
         live = [i for i, o in enumerate(out) if not isinstance(o, Exception)]
         if not live:
             break
         stop = min(start + rows, replicates)
-        rngs = [replicate_rng(seed, r) for r in range(start, stop)]
+        if start % window == 0:
+            words = _stream_words(seed, start, min(start + window, replicates))
+        rngs = [stream(w) for w in words[start % window:][:stop - start]]
         try:
             blocks = [draw(sample_size, rngs) for _ in range(draws)]
         except (FickitError, ValueError) as exc:

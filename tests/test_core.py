@@ -2,12 +2,17 @@
 statistic and divergence, and the error statistic."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fickit
+from fickit import core
 from fickit.core import (Dataset, DensityError, FitError, FittedModel,
                          MonteCarloEstimate, ParameterVector, cross_entropy_mc,
                          error_statistic, kl_divergence_mc, kl_statistic,
@@ -213,6 +218,75 @@ class TestReplicateValues:
         assert first.shape == (200,)
         with pytest.raises(DensityError, match="^replicates 163"):
             unwrap([first, failed, last])
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 + 5, -3]
+SEEDS = EDGE_SEEDS + [int(s) for s in
+                      np.random.default_rng(4).integers(0, 2**63, 40)]
+
+
+def _seed_sequence_words(seed, replicates):
+    return np.array([np.random.SeedSequence([seed % 2**63, r])
+                     .generate_state(4, np.uint64) for r in replicates])
+
+
+class TestStreamSeeding:
+    """The vectorised SeedSequence hash behind ``replicate_values``
+    against numpy's own: a numpy change to SeedSequence fails here
+    instead of moving numbers."""
+
+    # Indices from 2**32 up hash a second entropy word; no draws made.
+    @pytest.mark.parametrize("start, stop", [(0, 300), (2**32 - 5, 2**32),
+                                             (2**32 - 3, 2**32 + 3),
+                                             (2**64 - 3, 2**64)])
+    def test_words_match_seed_sequence(self, start, stop):
+        for seed in SEEDS:
+            assert np.array_equal(core._stream_words(seed, start, stop),
+                                  _seed_sequence_words(seed, range(start,
+                                                                   stop)))
+
+    def test_indices_past_two_words_refused(self):
+        with pytest.raises(OverflowError):
+            core._stream_words(5, 2**64 - 1, 2**64 + 1)
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_streams_draw_as_replicate_rng(self, seed):
+        rs = [0, 1, 17, 299, 2**32 - 1, 2**32]
+        stream = core._stream_from_words()
+        for r in rs:
+            [words] = core._stream_words(seed, r, r + 1)
+            built, ref = stream(words), replicate_rng(seed, r)
+            for law, args in [("standard_normal", ()), ("exponential", ()),
+                              ("chisquare", (3.0,))]:
+                assert np.array_equal(getattr(built, law)(*args, size=50),
+                                      getattr(ref, law)(*args, size=50))
+
+    @pytest.mark.parametrize("seed", [9, 2**40 + 7])
+    def test_windows_and_chunks_match_row_by_row(self, monkeypatch, seed):
+        # 24 observations: 3-row chunks in 18-row windows, so 50
+        # replicates span three windows, the last one partial.
+        N, R = 24, 50
+        monkeypatch.setattr(core, "BLOCK_BYTES", 8 * N * 3)
+        model = gaussian_mean_model([0.0])
+        [values] = replicate_values(
+            model.sampler, N, R, seed,
+            [lambda z, y: np.hstack([z.values, y.values])], draws=2)
+        for r in range(R):
+            rng = replicate_rng(seed, r)
+            expected = np.hstack([model.sampler(N, rng).values,
+                                  model.sampler(N, rng).values])
+            assert np.array_equal(values[r], expected)
+
+
+def test_import_does_not_load_numpy_random():
+    # numpy 2 imports numpy.random lazily; fickit builds its stream
+    # type on first use, so importing the CLI costs none of it.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(fickit.__file__)))
+    code = ("import sys, fickit.cli; "
+            "sys.exit('numpy.random' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=60).returncode == 0
 
 
 class TestKLStatistic:
