@@ -296,15 +296,18 @@ def information_landscape(family, truth: FittedModel, data: Dataset,
                             [accumulate]))
     z_mean = z_sum / replicates
     cov = (scatter - replicates * np.outer(z_mean, z_mean)) / (replicates - 1)
-    # Cells go by row-major index: a list of every cell's parameters
-    # would raise the peak memory of a large grid.
+    # Cells are walked axis-2 major, so that a chunk holds few axis-2
+    # values (the sine family builds one wave per frequency), and stored
+    # at their row-major index. A list of every cell's parameters would
+    # raise the peak memory of a large grid.
     cells = a1.size * a2.size
     d, D, Dse = (np.full(cells, np.nan) for _ in range(3))
     rows = max(1, BLOCK_BYTES // (8 * N))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, cells, rows):
-            block = slice(start, min(start + rows, cells))
-            i, j = np.divmod(np.arange(block.start, block.stop), a2.size)
+            j, i = np.divmod(np.arange(start, min(start + rows, cells)),
+                             a1.size)
+            block = i * a2.size + j
             means = _cell_means(family, np.column_stack([a1[i], a2[j]]), N)
             sq = data.values - means
             np.square(sq, out=sq)

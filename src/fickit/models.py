@@ -487,11 +487,15 @@ def sine_regression_family(N: int) -> ModelFamily:
         raise ValueError("N must be >= 2")
     t = np.arange(N, dtype=float)
 
-    def fit(data: Dataset) -> FittedModel:
+    @functools.cache                     # on the first fit, not before
+    def grid():
         omegas = np.linspace(np.pi / (8 * N), np.pi, 8 * N)
         basis = np.sin(np.outer(omegas, t))           # 8N frequencies x N
+        return omegas, basis, (basis ** 2).sum(axis=1)
+
+    def fit(data: Dataset) -> FittedModel:
+        omegas, basis, norm2 = grid()
         proj = _rows(lambda y: basis @ y, data.values)
-        norm2 = (basis ** 2).sum(axis=1)
         gain = proj ** 2 / norm2
         best = np.argmax(gain, axis=-1)               # first max: fixed rule
         a = np.take_along_axis(proj, best[..., None], -1)[..., 0]
@@ -502,7 +506,16 @@ def sine_regression_family(N: int) -> ModelFamily:
         # An amplitude and a frequency per row; a wrong count fails to
         # unpack with a ValueError.
         a, omega = params.coordinates.T[..., None]
-        return _gaussian_model(params, _fixed_mean(a * np.sin(omega * t)))
+        # One wave per run of equal consecutive frequencies (equal bits),
+        # gathered to its rows: np.sin is elementwise, so each row is bit
+        # for bit its own wave.
+        w = omega.ravel()
+        key = w.view(np.int64)
+        new = np.ones(w.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        waves = np.sin(w[new, None] * t)[np.cumsum(new) - 1]
+        return _gaussian_model(params, _fixed_mean(
+            a * waves.reshape(omega.shape[:-1] + (N,))))
 
     def fisher_at(params: ParameterVector, sample_size: int) -> FisherMatrix:
         a, omega = params.coordinates

@@ -384,9 +384,10 @@ class TestLandscapeAgainstReference:
     @pytest.mark.parametrize("case", [_sine_case, _trend_case])
     def test_chunks_split_rows_around_rejected_cells(self, monkeypatch,
                                                      case):
-        # Chunks of 5 cells on a 7 x 9 grid, so chunks split grid rows.
-        # Cell 7 is rejected alone in the middle of a chunk, 12 and 13
-        # together across a chunk boundary, 62 alone in the last chunk.
+        # Chunks of 5 cells on a 7 x 9 grid walked axis-2 major, so
+        # chunks split grid columns. Cells 12 and 30 are rejected in one
+        # chunk, 13 and 7 each alone at the end of a chunk, 62 alone in
+        # the middle of the last chunk.
         N = 24
         family, truth = case(N)
         data = truth.sampler(N, replicate_rng(99, 0))

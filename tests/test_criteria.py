@@ -316,6 +316,63 @@ class TestFicComplexity:
         assert a == b
 
 
+def _max_gain_reference(N, draws, seed, chunk=500):
+    """Expected maximal gain max_w (s_w . eps)^2 / |s_w|^2 of unit noise
+    eps over the sine fit's grid of 8N frequencies, with s_w = sin(w t):
+    the complexity of the sine family at zero amplitude, where the fit
+    projects the data onto the one direction that fits it best (the
+    gap's expectation is E|P eps|^2, as for greedy selection).
+
+    It uses numpy only, with its own grid and draws. Returns the mean
+    and its standard error."""
+    t = np.arange(N)
+    basis = np.sin(np.outer(np.linspace(np.pi / (8 * N), np.pi, 8 * N), t))
+    norm2 = np.einsum("ij,ij->i", basis, basis)
+    rng = np.random.default_rng(seed)
+    gains = np.concatenate([
+        (np.square(rng.standard_normal((min(chunk, draws - s), N))
+                   @ basis.T) / norm2).max(axis=1)
+        for s in range(0, draws, chunk)])
+    return gains.mean(), gains.std(ddof=1) / math.sqrt(draws)
+
+
+class TestUnidentifiableFrequency:
+    """At zero amplitude the sine family's frequency is unidentifiable:
+    its complexity is the expected maximal gain over the frequency grid,
+    and grows with N like 2 log N, while AIC charges 2 at every N."""
+
+    SIZES = (25, 50, 100, 200)
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        rows = {}
+        for N in self.SIZES:
+            family = sine_regression_family(N)
+            est = fic_complexity(
+                family, family.model_at(ParameterVector([0.0, 0.9])), N,
+                replicates=400, seed=9)
+            rows[N] = (est.value, est.std_error,
+                       *_max_gain_reference(N, 2000, seed=[19, N]))
+        print("\n   N   K (engine)       reference      2 log N   AIC")
+        for N, (k, k_se, ref, ref_se) in rows.items():
+            print(f"{N:4d}   {k:5.2f} +- {k_se:.2f}   {ref:5.2f} +- "
+                  f"{ref_se:.2f}   {2 * math.log(N):5.2f}     2")
+        return rows
+
+    def test_matches_max_gain_reference(self, table):
+        for N, (k, k_se, ref, ref_se) in table.items():
+            assert abs(k - ref) <= 3 * math.hypot(k_se, ref_se), N
+
+    def test_grows_with_n_like_the_reference(self, table):
+        (k0, k0_se, r0, r0_se), (k1, k1_se, r1, r1_se) = (
+            table[self.SIZES[0]], table[self.SIZES[-1]])
+        k_se, ref_se = math.hypot(k0_se, k1_se), math.hypot(r0_se, r1_se)
+        assert abs((k1 - k0) - (r1 - r0)) <= 3 * math.hypot(k_se, ref_se)
+        # AIC's charge does not grow at all.
+        assert k1 - k0 > 3 * k_se
+        assert k0 - 2.0 > 3 * k0_se
+
+
 class TestFicCriterion:
     def test_matches_aic_for_regular_family(self):
         data = _gaussian_data(200, 21)

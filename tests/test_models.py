@@ -572,6 +572,63 @@ class TestLandscapeFamilies:
         assert a == pytest.approx(3.0, abs=0.5)
         assert omega == pytest.approx(0.7, abs=0.05)
 
+    # Frequencies and their runs of equal bits: -0.0 and 0.0 give waves
+    # of opposite sign at t = 0, so they are different runs.
+    @pytest.mark.parametrize("omegas, runs", [
+        ([0.3, 0.3, 0.3, 1.2, 1.2, 0.7], 3),                # repeated
+        ([0.3, 1.2, 0.3, 1.2, 0.3, 1.2], 6),                # interleaved
+        ([1.4, -0.2, 0.9, 0.0, -0.0, 0.0, 0.5], 7),         # unsorted
+        ([0.8] * 5, 1), ([0.8], 1)])                         # one frequency
+    def test_sine_block_builds_one_wave_per_run(self, monkeypatch, omegas,
+                                                runs):
+        N = 37
+        family = sine_regression_family(N)
+        a = np.linspace(-2.0, 3.0, len(omegas))
+        rows = np.stack([family.model_at(ParameterVector([x, w])).mean(N)
+                         for x, w in zip(a, omegas)])
+        sines = []
+        sin = np.sin
+
+        def counting_sin(x, *args, **kwargs):
+            sines.append(np.shape(x))
+            return sin(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sin", counting_sin)
+        block = family.model_at(
+            ParameterVector(np.column_stack([a, omegas]))).mean(N)
+        assert sines == [(runs, N)]
+        assert np.array_equal(block.view(np.int64), rows.view(np.int64))
+
+    def test_sine_empty_block(self):
+        family = sine_regression_family(12)
+        model = family.model_at(ParameterVector(np.empty((0, 2))))
+        assert model.mean(12).shape == (0, 12)
+
+    def test_sine_basis_built_by_the_first_fit_only(self, monkeypatch,
+                                                    tmp_path):
+        from fickit.cli import ExperimentConfig, cmd_landscape
+        N = 20
+        outers = []
+        outer = np.outer
+
+        def counting_outer(a, b, *args, **kwargs):
+            out = outer(a, b, *args, **kwargs)
+            outers.append(out.shape)
+            return out
+
+        monkeypatch.setattr(np, "outer", counting_outer)
+        # The landscape builds its sine family but never fits it.
+        cmd_landscape(ExperimentConfig(
+            experiment="landscape", sample_size=N, replicates=5,
+            grid_axis1=(-1.0, 1.0, 3), grid_axis2=(0.3, 1.5, 4),
+            out_dir=str(tmp_path)))
+        assert (8 * N, N) not in outers
+        family = sine_regression_family(N)
+        truth = family.model_at(ParameterVector([0.0, 0.9]))
+        for r in range(3):
+            family.fit(truth.sampler(N, replicate_rng(43, r)))
+        assert outers.count((8 * N, N)) == 1
+
     def test_linear_trend_fit(self):
         N = 50
         family = linear_trend_family(N)
