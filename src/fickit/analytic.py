@@ -270,7 +270,10 @@ def information_landscape(family, truth: FittedModel, data: Dataset,
     (cells x N) array, d exactly as the models' densities give it. The
     models of a chunk come from one ``model_at`` call for its block of
     parameter rows; a chunk the family rejects is bisected down to the
-    cells it rejects.
+    cells it rejects. Cells are walked axis-2 major, so a block holds
+    every axis-1 value of few axis-2 values, each in one consecutive
+    run; a family may share work across equal consecutive axis-2
+    values (the sine family builds one wave per frequency).
 
     Cells whose parameters the family rejects (``ValueError`` or a
     ``FickitError``) or whose losses overflow are flagged, not fatal,
@@ -296,18 +299,16 @@ def information_landscape(family, truth: FittedModel, data: Dataset,
                             [accumulate]))
     z_mean = z_sum / replicates
     cov = (scatter - replicates * np.outer(z_mean, z_mean)) / (replicates - 1)
-    # Cells are walked axis-2 major, so that a chunk holds few axis-2
-    # values (the sine family builds one wave per frequency), and stored
-    # at their row-major index. A list of every cell's parameters would
-    # raise the peak memory of a large grid.
+    # Cells go by walk index and are transposed to the grid's shape at
+    # the end: a list of every cell's parameters would raise the peak
+    # memory of a large grid.
     cells = a1.size * a2.size
     d, D, Dse = (np.full(cells, np.nan) for _ in range(3))
     rows = max(1, BLOCK_BYTES // (8 * N))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, cells, rows):
-            j, i = np.divmod(np.arange(start, min(start + rows, cells)),
-                             a1.size)
-            block = i * a2.size + j
+            block = slice(start, min(start + rows, cells))
+            j, i = np.divmod(np.arange(block.start, block.stop), a1.size)
             means = _cell_means(family, np.column_stack([a1[i], a2[j]]), N)
             sq = data.values - means
             np.square(sq, out=sq)
@@ -322,8 +323,9 @@ def information_landscape(family, truth: FittedModel, data: Dataset,
             Dse[block] = np.sqrt(spread) / np.sqrt(replicates)
     invalid = ~(np.isfinite(d) & np.isfinite(D))
     d[invalid] = D[invalid] = Dse[invalid] = np.nan
-    return LandscapeGrid(a1, a2, *(x.reshape(a1.size, a2.size)
-                                   for x in (d, D, Dse, invalid)))
+    return LandscapeGrid(a1, a2, *(
+        np.ascontiguousarray(x.reshape(a2.size, a1.size).T)
+        for x in (d, D, Dse, invalid)))
 
 
 def count_local_minima(profile: np.ndarray) -> int:

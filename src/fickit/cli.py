@@ -195,10 +195,8 @@ def write_csv(path: Path, metadata: dict, header: Sequence[str],
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"# {k} = {v}" for k, v in metadata.items()]
     lines.append(",".join(header))
-    for row in rows:                      # _fmt's float fast path inline
-        lines.append(",".join([
-            (format(v, ".12g") if v == v else "") if type(v) is float
-            else _fmt(v) for v in row]))
+    for row in rows:
+        lines.append(",".join(map(_fmt, row)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -390,7 +388,7 @@ def cmd_landscape(config: ExperimentConfig) -> list:
     meta = _metadata(config, "landscape")
     a1, a2 = grid_result.axis1_values, grid_result.axis2_values
     # Rows built column by column, each axis value formatted once; the
-    # surfaces' Python floats take write_csv's fast path.
+    # surfaces' Python floats take _fmt's fast path.
     t1, t2 = ([_fmt(v) for v in a.tolist()] for a in (a1, a2))
     surf_rows = zip([v for v in t1 for _ in t2], t2 * a1.size,
                     grid_result.d_surface.ravel().tolist(),

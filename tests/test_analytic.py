@@ -384,10 +384,12 @@ class TestLandscapeAgainstReference:
     @pytest.mark.parametrize("case", [_sine_case, _trend_case])
     def test_chunks_split_rows_around_rejected_cells(self, monkeypatch,
                                                      case):
-        # Chunks of 5 cells on a 7 x 9 grid walked axis-2 major, so
-        # chunks split grid columns. Cells 12 and 30 are rejected in one
-        # chunk, 13 and 7 each alone at the end of a chunk, 62 alone in
-        # the middle of the last chunk.
+        # Chunks of 5 cells on a 7 x 9 grid walked axis-2 major (cell
+        # i * 9 + j at walk position j * 7 + i), so chunks split grid
+        # columns. Cell 12 (position 22) is rejected with valid cells on
+        # both sides, and 30 (24) ends the same chunk; 13 (29) and 7 (49)
+        # each end a chunk; 62 (62) is alone at the end of the last,
+        # short chunk.
         N = 24
         family, truth = case(N)
         data = truth.sampler(N, replicate_rng(99, 0))

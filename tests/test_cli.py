@@ -85,18 +85,6 @@ class TestWriteCsv:
         assert text.splitlines() == ["# seed = 5", "# N = 10", "a,b,c",
                                      "1,0.5,x", "2,,"]
 
-    def test_rows_match_per_field_fmt(self, tmp_path):
-        # write_csv formats Python floats inline: every type must give
-        # the bytes of a per-field _fmt join.
-        rows = [(math.nan, math.inf, -math.inf, -0.0, 1e-300, 0.1),
-                (7, np.int64(-3), np.float64(2.5), np.float64(math.nan),
-                 np.float32(0.1), True),
-                (np.bool_(False), None, "abc", "", False, 5e-324)]
-        path = write_csv(tmp_path / "t.csv", {}, list("abcdef"), rows)
-        expected = ["a,b,c,d,e,f"] + [",".join(cli._fmt(v) for v in row)
-                                      for row in rows]
-        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
-
 
 @pytest.mark.parametrize("value, text", [
     (0.5, "0.5"), (np.float64(1 / 3), "0.333333333333"), (-0.0, "-0"),
