@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -21,7 +22,7 @@ import numpy as np
 from . import __version__
 from .analytic import (GridAxis, evt_complexity, information_landscape,
                        max_chi2_mc)
-from .core import (Dataset, FickitError, MonteCarloEstimate,
+from .core import (BLOCK_BYTES, Dataset, FickitError, MonteCarloEstimate,
                    ParameterVector, derive_seed, replicate_rng,
                    shannon_information)
 from .criteria import (_complexity_replicates, aicc_exponential,
@@ -45,10 +46,16 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_ORACLE = 3
 
-# Largest landscape grid, in cells (num1 x num2): its surfaces and its
-# CSV rows are held whole, so a larger grid is a usage error before
-# any work starts.
+# Caps on what sizes the work, checked before any work starts. The
+# landscape holds its num1 x num2 cells whole, and N x N matrices of
+# 8 MB at MAX_LANDSCAPE_SIZE. One row of MAX_SAMPLE_SIZE float64 fills
+# BLOCK_BYTES, the engine's chunk budget. A statistic array of
+# MAX_REPLICATES is 8 MB, 10x the largest documented run. An evt-table
+# maximum makes m draws, and numpy takes nu as a float (MAX_EVT).
 MAX_GRID_CELLS = 2 ** 20
+MAX_LANDSCAPE_SIZE = 2 ** 10
+MAX_SAMPLE_SIZE = BLOCK_BYTES // 8
+MAX_REPLICATES = MAX_EVT = 10 ** 6
 
 _STREAM_DATA = 0
 _STREAM_FIC = 1
@@ -70,9 +77,39 @@ def _is_real(value) -> bool:
     return isinstance(value, (float, np.floating)) and math.isfinite(value)
 
 
-def _check(name: str, value, ok, expected: str) -> None:
-    if not ok(value):
-        raise UsageError(f"{name} must be {expected}, got {value!r}")
+def _int(value, row) -> bool:
+    return _is_int(value) and row.low <= value <= row.cap
+
+
+# One row per ExperimentConfig field but experiment: ok(value, row)
+# checks the value's type and holds its integers to [row.low, row.cap].
+_Field = namedtuple("_Field", "ok what low cap",
+                    defaults=(-math.inf, math.inf))
+_AXIS = _Field(lambda v, row: (len(v) == 3 and all(map(_is_real, v[:2]))
+                               and _int(v[2], row)),
+               "[start, stop, num] with an integer num", 2)
+_EVT = _Field(lambda v, row: all(_int(x, row) for x in v),
+              "a list of integers", 1, MAX_EVT)
+_STR = _Field(lambda v, _: isinstance(v, str), "a string")
+_FIELDS = {
+    "sample_size": _Field(_int, "an integer", 2, MAX_SAMPLE_SIZE),
+    "replicates": _Field(_int, "an integer", 2, MAX_REPLICATES),
+    "seed": _Field(_int, "an integer"),
+    "algorithms": _Field(lambda v, _: all(
+        isinstance(a, str) and a in ("sequential", "greedy") for a in v),
+        "a list of 'sequential' and 'greedy'"),
+    "n_min": _Field(_int, "an integer", 0),
+    "n_max": _Field(_int, "an integer"),
+    "out_dir": _STR,
+    "truth_known": _Field(lambda v, _: isinstance(v, bool), "true or false"),
+    "landscape_family": _STR,
+    "landscape_truth": _Field(lambda v, _: len(v) == 2 and all(
+        map(_is_real, v)), "two numbers"),
+    "grid_axis1": _AXIS,
+    "grid_axis2": _AXIS,
+    "evt_m_values": _EVT,
+    "evt_nu_values": _EVT,
+}
 
 
 @dataclass(frozen=True)
@@ -102,43 +139,20 @@ class ExperimentConfig:
         if self.experiment not in self._EXPERIMENTS:
             raise UsageError(f"unknown experiment {self.experiment!r}; "
                              f"expected one of {self._EXPERIMENTS}")
-        for name in ("algorithms", "landscape_truth", "grid_axis1",
-                     "grid_axis2", "evt_m_values", "evt_nu_values"):
+        for name, row in _FIELDS.items():
             value = getattr(self, name)
-            if not isinstance(value, (list, tuple)):
-                raise UsageError(f"{name} must be a list, got {value!r}")
-            object.__setattr__(self, name, tuple(value))
-        for name in ("sample_size", "replicates", "seed", "n_min", "n_max"):
-            _check(name, getattr(self, name), _is_int, "an integer")
-        for name in ("out_dir", "landscape_family"):
-            _check(name, getattr(self, name),
-                   lambda v: isinstance(v, str), "a string")
-        _check("truth_known", self.truth_known,
-               lambda v: isinstance(v, bool), "true or false")
-        _check("algorithms", self.algorithms,
-               lambda v: all(isinstance(a, str) for a in v),
-               "a list of names")
-        bad = set(self.algorithms) - {"sequential", "greedy"}
-        if bad:
-            raise UsageError(f"unknown algorithms: {sorted(bad)}")
-        _check("landscape_truth", self.landscape_truth,
-               lambda v: len(v) == 2 and all(map(_is_real, v)),
-               "two numbers")
-        for name in ("grid_axis1", "grid_axis2"):
-            _check(name, getattr(self, name),
-                   lambda v: (len(v) == 3 and all(map(_is_real, v[:2]))
-                              and _is_int(v[2]) and v[2] >= 2),
-                   "[start, stop, num] with an integer num >= 2")
-        for name in ("evt_m_values", "evt_nu_values"):
-            _check(name, getattr(self, name),
-                   lambda v: all(_is_int(x) and x >= 1 for x in v),
-                   "a list of integers >= 1")
-        if self.sample_size < 2:
-            raise UsageError("sample_size must be >= 2")
-        if self.n_min < 0 or self.n_max < self.n_min:
-            raise UsageError("need 0 <= n_min <= n_max")
-        if self.replicates < 2:
-            raise UsageError("replicates must be >= 2")
+            if isinstance(getattr(ExperimentConfig, name), tuple):
+                if not isinstance(value, (list, tuple)):   # a list field
+                    raise UsageError(f"{name} must be a list, got {value!r}")
+                value = tuple(value)
+                object.__setattr__(self, name, value)
+            if not row.ok(value, row):
+                bounds = (f" from {row.low} to {row.cap}" if row.cap < math.inf
+                          else f" >= {row.low}" if row.low > -math.inf else "")
+                raise UsageError(f"{name} must be {row.what}{bounds}, "
+                                 f"got {value!r}")
+        if self.n_max < self.n_min:
+            raise UsageError(f"n_max must be >= n_min, got {self.n_max}")
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -147,8 +161,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
+        unknown = set(raw) - set(_FIELDS) - {"experiment"}
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         if "experiment" not in raw:
@@ -162,7 +175,7 @@ class ExperimentConfig:
     def parse(cls, text: str) -> "ExperimentConfig":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:           # also an over-long integer
             raise UsageError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise UsageError("config must be a JSON object")
@@ -217,8 +230,8 @@ def cmd_simulate(config: ExperimentConfig) -> list:
     """Write the simulated seasonal-intensity dataset and its Fourier
     coefficients next to the generator's."""
     n = config.sample_size
-    if n % 2 or n < 2:
-        raise UsageError("sample_size must be even and >= 2")
+    if n % 2:
+        raise UsageError("sample_size must be even")
     mu = neutrino_mean(n)
     data = _neutrino_dataset(config)
     out = Path(config.out_dir)
@@ -271,8 +284,8 @@ def cmd_sweep(config: ExperimentConfig) -> list:
     """Nested-model sweep over both selection algorithms: fit quality,
     closed-form and Monte Carlo complexities, criterion values."""
     N = config.sample_size
-    if N % 2 or N < 2:
-        raise UsageError("sample_size must be even and >= 2")
+    if N % 2:
+        raise UsageError("sample_size must be even")
     if config.n_max > N // 2 - 1:
         raise UsageError("n_max exceeds the available frequency range")
     truth = neutrino_truth(N)
@@ -374,6 +387,9 @@ def cmd_landscape(config: ExperimentConfig) -> list:
     if config.grid_axis1[2] * config.grid_axis2[2] > MAX_GRID_CELLS:
         raise UsageError(f"grid_axis1 x grid_axis2 asks for more than "
                          f"{MAX_GRID_CELLS} cells")
+    if config.sample_size > MAX_LANDSCAPE_SIZE:
+        raise UsageError(f"sample_size must be at most {MAX_LANDSCAPE_SIZE} "
+                         f"for a landscape, got {config.sample_size}")
     axes = GridAxis(*config.grid_axis1), GridAxis(*config.grid_axis2)
     for name, axis in zip(("grid_axis1", "grid_axis2"), axes):
         try:
@@ -497,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="path to a JSON experiment config")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--replicates", type=int, default=None)
-        p.add_argument("--out", default=None)
+        p.add_argument("--out", dest="out_dir", default=None)
     return parser
 
 
@@ -511,16 +527,9 @@ def _resolve_config(args) -> ExperimentConfig:
                 f"{args.command!r} command expects {experiment!r}")
     else:
         config = ExperimentConfig(experiment=experiment)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.replicates is not None:
-        overrides["replicates"] = args.replicates
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    return config
+    # Each flag named after a field overrides it.
+    return dataclasses.replace(config, **{
+        k: v for k, v in vars(args).items() if k in _FIELDS and v is not None})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

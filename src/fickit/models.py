@@ -489,8 +489,9 @@ def sine_regression_family(N: int) -> ModelFamily:
 
     @functools.cache                     # on the first fit, not before
     def grid():
-        omegas = np.linspace(np.pi / (8 * N), np.pi, 8 * N)
-        basis = np.sin(np.outer(omegas, t))           # 8N frequencies x N
+        # k pi / 8N for k < 8N: sin(pi t) is rounding noise at integer t.
+        omegas = np.linspace(np.pi / (8 * N), np.pi, 8 * N)[:-1]
+        basis = np.sin(np.outer(omegas, t))           # 8N - 1 frequencies x N
         return omegas, basis, (basis ** 2).sum(axis=1)
 
     def fit(data: Dataset) -> FittedModel:

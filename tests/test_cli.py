@@ -4,6 +4,7 @@ exit codes."""
 import dataclasses
 import json
 import math
+import shlex
 import tempfile
 import warnings
 from pathlib import Path
@@ -20,6 +21,8 @@ from fickit.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_ORACLE, EXIT_USAGE,
                         write_csv)
 from fickit.core import FitError, derive_seed
 from fickit.models import neutrino_mean
+
+_ROOT = Path(__file__).parents[1]
 
 
 def _read_rows(path):
@@ -54,8 +57,30 @@ class TestExperimentConfig:
         with pytest.raises(UsageError):
             ExperimentConfig.parse("not json")
 
+    def test_integer_too_long_to_read(self):
+        # Python reads at most 4,300 digits of an integer from text.
+        with pytest.raises(UsageError, match="not valid JSON"):
+            ExperimentConfig.parse('{"experiment": "evt_table", '
+                                   f'"replicates": 1{"0" * 5000}}}')
+
+    def test_field_table_has_every_field_but_experiment(self):
+        names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert names[0] == "experiment"
+        assert list(cli._FIELDS) == names[1:]
+        assert set(_VALID) == set(cli._FIELDS)
+
+    def test_every_cap_passes_validation(self):
+        capped = [n for n, row in cli._FIELDS.items() if row.cap < math.inf]
+        assert capped == ["sample_size", "replicates", "evt_m_values",
+                          "evt_nu_values"]
+        for name in capped:               # validation only: nothing runs
+            value = _holding(name, cli._FIELDS[name].cap)
+            ExperimentConfig(experiment="evt_table", **{name: value})
+
     # Each of these once ended in a Python traceback (or, for the bare
-    # string, in a complaint about its characters).
+    # string, in a complaint about its characters), or started work no
+    # run can finish: 10**30 observations, 10**400 replicates or m =
+    # 10**30 draws per maximum. The rest are one over each cap.
     @pytest.mark.parametrize("command, experiment, field, value", [
         ("sweep", "neutrino_sweep", "sample_size", "100"),
         ("sweep", "neutrino_sweep", "replicates", 2.5),
@@ -63,10 +88,35 @@ class TestExperimentConfig:
         ("evt-table", "evt_table", "evt_m_values", [0]),
         ("sweep", "neutrino_sweep", "algorithms", "greedy"),
         ("landscape", "landscape", "landscape_truth", [10 ** 400, 0.9]),
+        ("simulate", "simulate", "sample_size", 10 ** 30),
+        ("sweep", "neutrino_sweep", "sample_size", 10 ** 30),
+        ("evt-table", "evt_table", "replicates", 10 ** 400),
+        ("evt-table", "evt_table", "evt_m_values", [10 ** 30]),
+        ("evt-table", "evt_table", "evt_nu_values", [10 ** 400]),
+        ("landscape", "landscape", "sample_size", cli.MAX_SAMPLE_SIZE + 1),
+        ("landscape", "landscape", "sample_size",
+         cli.MAX_LANDSCAPE_SIZE + 1),
+        ("oracle-suite", "oracle_suite", "replicates",
+         cli.MAX_REPLICATES + 1),
+        ("evt-table", "evt_table", "evt_m_values", [cli.MAX_EVT + 1]),
+        ("evt-table", "evt_table", "evt_nu_values", [cli.MAX_EVT + 1]),
     ], ids=["sample_size_string", "replicates_float", "grid_axis_short",
-            "evt_m_zero", "algorithms_string", "landscape_truth_huge_int"])
-    def test_bad_field_is_usage_error(self, tmp_path, capsys, command,
-                                      experiment, field, value):
+            "evt_m_zero", "algorithms_string", "landscape_truth_huge_int",
+            "simulate_sample_size_huge", "sweep_sample_size_huge",
+            "replicates_huge_int", "evt_m_huge", "evt_nu_huge_int",
+            "sample_size_over_cap", "landscape_sample_size_over_cap",
+            "replicates_over_cap", "evt_m_over_cap", "evt_nu_over_cap"])
+    def test_bad_field_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                      command, experiment, field, value):
+        # A row that gets past validation fails at once, before it can
+        # allocate or loop at its size.
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("work started on a bad config")
+
+        for name in ("neutrino_mean", "neutrino_truth", "_landscape_setup",
+                     "information_landscape", "_complexity_replicates",
+                     "fic_complexity", "max_chi2_mc"):
+            monkeypatch.setattr(cli, name, must_not_run)
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"experiment": experiment, field: value,
                                     "out_dir": str(tmp_path / "out")}))
@@ -331,7 +381,8 @@ class TestLandscape:
         assert not (tmp_path / "out").exists()
 
     def test_grid_at_the_cell_cap_passes_validation(self, monkeypatch):
-        # Validation passes and set-up starts; nothing runs at this size.
+        # Validation passes and set-up starts, at the cell cap and at the
+        # landscape's sample-size cap; nothing runs at this size.
         class SetupStarted(Exception):
             pass
 
@@ -340,6 +391,7 @@ class TestLandscape:
 
         monkeypatch.setattr(cli, "_landscape_setup", setup)
         config = ExperimentConfig(experiment="landscape",
+                                  sample_size=cli.MAX_LANDSCAPE_SIZE,
                                   grid_axis1=(0.0, 1.0, 2 ** 10),
                                   grid_axis2=(0.3, 1.0, 2 ** 10))
         assert cli.MAX_GRID_CELLS == 2 ** 20
@@ -452,13 +504,42 @@ class TestMain:
             (tmp_path / "b" / "evt.csv").read_bytes()
 
 
+def _readme():
+    return (_ROOT / "README.md").read_text(encoding="utf-8")
+
+
+class TestReadme:
+    def test_config_table_matches_the_field_table(self):
+        rows = [[cell.strip() for cell in line.split("|")[1:-1]]
+                for line in _readme().splitlines() if line.startswith("| `")]
+        assert [row[0] for row in rows] == [f"`{name}`"
+                                            for name in cli._FIELDS]
+        for (_, what, bounds, _), row in zip(rows, cli._FIELDS.values()):
+            assert what == row.what
+            if row.cap < math.inf:
+                assert bounds == f"{row.low} to {row.cap}"
+            else:
+                assert bounds == (f">= {row.low}" if row.low > -math.inf
+                                  else "any")
+
+    def test_standard_runs_pass_validation(self, monkeypatch):
+        # Each documented run parses and validates, so no cap rejects it.
+        monkeypatch.chdir(_ROOT)
+        block = _readme().split("## Standard runs", 1)[1].split("```")[1]
+        runs = [shlex.split(line, comments=True)
+                for line in block.splitlines()[1:]]
+        assert len(runs) == 7
+        for argv in runs:
+            assert argv[0] == "fickit"
+            cli._resolve_config(cli.build_parser().parse_args(argv[1:]))
+
+
 # -- config fuzzing ----------------------------------------------------------
 
 _EXPERIMENTS = {"simulate": "simulate", "sweep": "neutrino_sweep",
                 "landscape": "landscape", "oracle-suite": "oracle_suite",
                 "evt-table": "evt_table"}
 _HUGE = [1e308, -1e308, 10 ** 400]      # 10 ** 400 overflows a float
-_WRONG = ["10", None, True, [], {}]
 
 
 def _mixed(valid, invalid):
@@ -467,44 +548,68 @@ def _mixed(valid, invalid):
         lambda i: st.sampled_from(invalid) if i == 9 else valid)
 
 
+def _holding(name, x):
+    """A value of field ``name`` with ``x`` as its integer: a list field
+    keeps its default's other entries."""
+    default = getattr(ExperimentConfig, name)
+    return list(default[:-1]) + [x] if isinstance(default, tuple) else x
+
+
+def _invalid(name):
+    """Values of ``name`` drawn from its row of the field table: one
+    below the least value, one above the cap, a huge integer and the
+    wrong types. Some of them are valid for a field with no bounds (a
+    huge seed), and each invalid one is rejected before any work."""
+    row = cli._FIELDS[name]
+    edges = [b + d for b, d in ((row.low, -1), (row.cap, 1))
+             if math.isfinite(b)]
+    values = [_holding(name, x) for x in edges + [10 ** 400, 2.5, None,
+                                                    True]] + [[], {}]
+    if not isinstance(getattr(ExperimentConfig, name), str):
+        values += ["3", _holding(name, "3")]    # no stray output dirs
+    return values
+
+
 _REALS = st.sampled_from([0.0, 0.9, -1.5, 1e-308] + _HUGE)
 _GRID = st.lists(_REALS, min_size=2, max_size=2).flatmap(
-    lambda ends: _mixed(st.sampled_from([2, 3]), [0, 1, 2.5, "3"]).map(
-        lambda num: ends + [num]))
+    lambda ends: st.sampled_from([2, 3]).map(lambda num: ends + [num]))
 
-# Every field that sets the amount of work is always present and tiny
-# (sample_size <= 20, replicates <= 4, at most 3 grid points per axis);
-# the rest may be missing, wrong, out of range or huge.
-_ALWAYS = {
-    "sample_size": _mixed(st.sampled_from([2, 4, 6, 10, 20]),
-                          [-2, 0, 1, 3, 4.0] + _HUGE[:1] + _WRONG),
-    "replicates": _mixed(st.integers(2, 4),
-                         [-1, 0, 1, 2.5] + _HUGE[:1] + _WRONG),
-    "grid_axis1": _mixed(_GRID, [[0.0, 1.0], "grid", [0.0, 1.0, 10 ** 400]]),
-    "grid_axis2": _mixed(_GRID, [[0.0, 1.0, 2, 3], [math.inf, 1.0, 2],
-                                 [0.0, 1.0, 2 ** 19 + 1]]),    # over cap
-    "evt_m_values": _mixed(st.lists(st.integers(1, 50), max_size=3),
-                           [[0], [-3], [1.5], "10", [True]]),
-    "evt_nu_values": _mixed(st.lists(st.integers(1, 3), max_size=3),
-                            [[0], [2.0], 2]),
-}
-_OPTIONAL = {
-    "seed": _mixed(st.integers(-2 ** 70, 2 ** 70), [1.5] + _HUGE + _WRONG),
-    "n_min": _mixed(st.integers(0, 3), [-1, 0.5] + _HUGE + _WRONG),
-    "n_max": _mixed(st.integers(0, 9), [-1, 0.5] + _HUGE + _WRONG),
-    "algorithms": _mixed(
-        st.lists(st.sampled_from(["sequential", "greedy"]), max_size=2,
-                 unique=True),
-        ["greedy", ["bogus"], [1]]),
-    "truth_known": _mixed(st.booleans(), [0, "yes", None]),
+# Valid values of each field. Those that set the amount of work are
+# tiny: sample_size <= 20, replicates <= 4, at most 3 grid points per
+# axis and m <= 50.
+_VALID = {
+    "sample_size": st.sampled_from([2, 3, 4, 6, 10, 20]),
+    "replicates": st.integers(2, 4),
+    "seed": st.integers(-2 ** 70, 2 ** 70),
+    "algorithms": st.lists(st.sampled_from(["sequential", "greedy"]),
+                           max_size=2, unique=True),
+    "n_min": st.integers(0, 3),
+    "n_max": st.integers(0, 9),
+    "out_dir": st.sampled_from(["OUT", "FILE", "FILE/sub"]),
+    "truth_known": st.booleans(),
     "landscape_family": st.sampled_from(
-        ["sine_singular", "linear_regular", "bogus", 3]),
-    "landscape_truth": _mixed(st.lists(_REALS, min_size=2, max_size=2),
-                              [[0.0], [math.inf, 0.9], [math.nan, 0.0],
-                               "0.9", [0.0, 0.9, 1.0]]),
-    "out_dir": st.sampled_from(["OUT", "FILE", "FILE/sub", 5]),
-    "bogus_key": st.just(1),
+        ["sine_singular", "linear_regular", "bogus"]),
+    "landscape_truth": st.lists(_REALS, min_size=2, max_size=2),
+    "grid_axis1": _GRID,
+    "grid_axis2": _GRID,
+    "evt_m_values": st.lists(st.integers(1, 50), max_size=3),
+    "evt_nu_values": st.lists(st.integers(1, 3), max_size=3),
 }
+# Shapes that the table's bounds do not describe: unknown names, lists
+# of the wrong length, non-finite reals, and grids over MAX_GRID_CELLS.
+_SHAPES = {
+    "algorithms": [["bogus"], [1]],
+    "landscape_truth": [[0.0], [math.inf, 0.9], [math.nan, 0.0],
+                        [0.0, 0.9, 1.0]],
+    "grid_axis1": [[0.0, 1.0], [0.0, 1.0, 2, 3], [math.inf, 1.0, 2]],
+    "grid_axis2": [[0.0, 1.0, 2 ** 19 + 1]],
+}
+_FIELD_VALUES = {name: _mixed(valid, _invalid(name) + _SHAPES.get(name, []))
+                 for name, valid in _VALID.items()}
+# Every field that sets the amount of work is always present, so that
+# its tiny valid values apply; the rest may be missing.
+_ALWAYS = ("sample_size", "replicates", "grid_axis1", "grid_axis2",
+           "evt_m_values", "evt_nu_values")
 
 
 @st.composite
@@ -514,9 +619,9 @@ def _configs(draw):
     command = draw(st.sampled_from(
         ["simulate", "sweep", "landscape", "evt-table"] * 3
         + ["oracle-suite"]))
-    raw = {name: draw(value) for name, value in _ALWAYS.items()}
-    for name in draw(st.sets(st.sampled_from(sorted(_OPTIONAL)))):
-        raw[name] = draw(_OPTIONAL[name])
+    optional = sorted(set(_VALID) - set(_ALWAYS)) + ["bogus_key"]
+    names = list(_ALWAYS) + sorted(draw(st.sets(st.sampled_from(optional))))
+    raw = {name: draw(_FIELD_VALUES.get(name, st.just(1))) for name in names}
     raw["experiment"] = draw(_mixed(st.just(_EXPERIMENTS[command]),
                                     ["evt_table", "bogus", None]))
     return command, raw
@@ -557,8 +662,8 @@ class TestConfigFuzz:
             places = {"OUT": tmp / "out", "FILE": tmp / "FILE",
                       "FILE/sub": tmp / "FILE" / "sub"}
             out = raw.get("out_dir", "OUT")
-            raw = dict(raw, out_dir=str(places[out]) if out in places
-                       else out)
+            raw = dict(raw, out_dir=str(places[out])
+                       if isinstance(out, str) else out)
             path = tmp / "config.json"
             path.write_text(json.dumps(raw))
             code = main([command, "--config", str(path)])

@@ -318,15 +318,16 @@ class TestFicComplexity:
 
 def _max_gain_reference(N, draws, seed, chunk=500):
     """Expected maximal gain max_w (s_w . eps)^2 / |s_w|^2 of unit noise
-    eps over the sine fit's grid of 8N frequencies, with s_w = sin(w t):
-    the complexity of the sine family at zero amplitude, where the fit
-    projects the data onto the one direction that fits it best (the
-    gap's expectation is E|P eps|^2, as for greedy selection).
+    eps over the sine fit's grid of 8N - 1 frequencies w = k pi / 8N,
+    with s_w = sin(w t): the complexity of the sine family at zero
+    amplitude, where the fit projects the data onto the one direction
+    that fits it best (the gap's expectation is E|P eps|^2, as for
+    greedy selection).
 
     It uses numpy only, with its own grid and draws. Returns the mean
     and its standard error."""
     t = np.arange(N)
-    basis = np.sin(np.outer(np.linspace(np.pi / (8 * N), np.pi, 8 * N), t))
+    basis = np.sin(np.outer(np.pi / (8 * N) * np.arange(1, 8 * N), t))
     norm2 = np.einsum("ij,ij->i", basis, basis)
     rng = np.random.default_rng(seed)
     gains = np.concatenate([

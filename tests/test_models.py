@@ -622,12 +622,24 @@ class TestLandscapeFamilies:
             experiment="landscape", sample_size=N, replicates=5,
             grid_axis1=(-1.0, 1.0, 3), grid_axis2=(0.3, 1.5, 4),
             out_dir=str(tmp_path)))
-        assert (8 * N, N) not in outers
+        assert (8 * N - 1, N) not in outers
         family = sine_regression_family(N)
         truth = family.model_at(ParameterVector([0.0, 0.9]))
         for r in range(3):
             family.fit(truth.sampler(N, replicate_rng(43, r)))
-        assert outers.count((8 * N, N)) == 1
+        assert outers.count((8 * N - 1, N)) == 1
+
+    def test_sine_fit_never_picks_a_vanishing_wave(self):
+        # At omega = pi, sin(omega t) is rounding noise at integer t (a
+        # squared norm of 2.7e-28; every other grid wave has at least
+        # 1.17), so a fit that picks it returns an amplitude near 1e14.
+        # Zero-amplitude data once picked it in 37 of these 2,000 fits.
+        N = 25
+        family = sine_regression_family(N)
+        noise = np.random.default_rng(1).standard_normal((2000, N))
+        omega = family.fit(Dataset(noise)).params.coordinates[:, 1]
+        norm2 = (np.sin(np.outer(omega, np.arange(N))) ** 2).sum(axis=1)
+        assert norm2.min() > 1e-6
 
     def test_linear_trend_fit(self):
         N = 50
