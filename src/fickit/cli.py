@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ from . import __version__
 from .analytic import (GridAxis, evt_complexity, information_landscape,
                        max_chi2_mc)
 from .core import (BLOCK_BYTES, Dataset, FickitError, MonteCarloEstimate,
-                   ParameterVector, derive_seed, replicate_rng,
+                   ParameterVector, _fork_map, derive_seed, replicate_rng,
                    shannon_information)
 from .criteria import (_complexity_replicates, aicc_exponential,
                        aicc_linear_regression, fic_complexity)
@@ -81,6 +83,18 @@ def _int(value, row) -> bool:
     return _is_int(value) and row.low <= value <= row.cap
 
 
+def _is_path(value, _) -> bool:
+    """A string the file system takes as a path: ``os.fsencode`` takes
+    it (a lone surrogate fails), and it holds no NUL."""
+    if not isinstance(value, str) or "\0" in value:
+        return False
+    try:
+        os.fsencode(value)
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 # One row per ExperimentConfig field but experiment: ok(value, row)
 # checks the value's type and holds its integers to [row.low, row.cap].
 _Field = namedtuple("_Field", "ok what low cap",
@@ -90,7 +104,6 @@ _AXIS = _Field(lambda v, row: (len(v) == 3 and all(map(_is_real, v[:2]))
                "[start, stop, num] with an integer num", 2)
 _EVT = _Field(lambda v, row: all(_int(x, row) for x in v),
               "a list of integers", 1, MAX_EVT)
-_STR = _Field(lambda v, _: isinstance(v, str), "a string")
 _FIELDS = {
     "sample_size": _Field(_int, "an integer", 2, MAX_SAMPLE_SIZE),
     "replicates": _Field(_int, "an integer", 2, MAX_REPLICATES),
@@ -100,9 +113,10 @@ _FIELDS = {
         "a list of 'sequential' and 'greedy'"),
     "n_min": _Field(_int, "an integer", 0),
     "n_max": _Field(_int, "an integer"),
-    "out_dir": _STR,
+    "out_dir": _Field(_is_path, "a string the file system can encode, "
+                      "without NUL"),
     "truth_known": _Field(lambda v, _: isinstance(v, bool), "true or false"),
-    "landscape_family": _STR,
+    "landscape_family": _Field(lambda v, _: isinstance(v, str), "a string"),
     "landscape_truth": _Field(lambda v, _: len(v) == 2 and all(
         map(_is_real, v)), "two numbers"),
     "grid_axis1": _AXIS,
@@ -183,7 +197,11 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        return cls.parse(Path(path).read_text(encoding="utf-8"))
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"config {path} is not UTF-8: {exc}") from exc
+        return cls.parse(text)
 
 
 def _fmt(x) -> str:
@@ -258,25 +276,35 @@ def _family(algorithm: str, n: int, N: int):
 
 
 def _complexities(pairs: dict, config: ExperimentConfig, stream: int,
-                  a_idx: int, failed: dict) -> dict:
+                  a_idx: int) -> dict:
     """Monte Carlo complexity of the (family, generator) pair of each
-    level; a level whose pair fails goes into ``failed`` with its
-    ``FickitError`` instead. One seed per algorithm and stream: every
-    level is fit and scored on the same draws, so complexities couple
-    across n."""
+    level, or the error that failed it. One seed per algorithm and
+    stream: every level is fit and scored on the same draws, so
+    complexities couple across n."""
     if not pairs:
         return {}
     seed = derive_seed(config.seed, stream, a_idx)
     results = _complexity_replicates(list(pairs.values()), config.sample_size,
                                      config.replicates, seed)
+    return {n: result if isinstance(result, Exception)
+            else MonteCarloEstimate.from_values(result, seed)
+            for n, result in zip(pairs, results)}
+
+
+def _estimates(results: dict, failed: dict) -> dict:
+    """The estimates among ``_complexities`` results of the levels not
+    yet in ``failed``; a level whose pair failed goes into ``failed``
+    with its ``FickitError``, and any other error is raised."""
     estimates = {}
-    for n, result in zip(pairs, results):
+    for n, result in results.items():
+        if n in failed:
+            continue
         if isinstance(result, FickitError):
             failed[n] = result
         elif isinstance(result, Exception):
             raise result
         else:
-            estimates[n] = MonteCarloEstimate.from_values(result, seed)
+            estimates[n] = result
     return estimates
 
 
@@ -294,9 +322,7 @@ def cmd_sweep(config: ExperimentConfig) -> list:
     c_data = fourier_transform(data)
     gen_coeffs = c_true if config.truth_known else c_data
     levels = range(config.n_min, config.n_max + 1)
-    rows = []
-    summary = []
-    errors = 0
+    all_fits, all_failed, tasks = [], [], []
     for a_idx, algorithm in enumerate(config.algorithms):
         fits, failed = {}, {}           # a failed level keeps its first error
         for n in levels:
@@ -306,12 +332,26 @@ def cmd_sweep(config: ExperimentConfig) -> list:
                 fits[n] = (family, fitted, shannon_information(data, fitted))
             except FickitError as exc:
                 failed[n] = exc
-        k_fic = _complexities({n: fit[:2] for n, fit in fits.items()},
-                              config, _STREAM_FIC, a_idx, failed)
-        k_true = {}
+        all_fits.append(fits)
+        all_failed.append(failed)
+        pairs = {n: fit[:2] for n, fit in fits.items()}
+        tasks.append(functools.partial(_complexities, pairs, config,
+                                       _STREAM_FIC, a_idx))
         if config.truth_known:
-            k_true = _complexities({n: (fits[n][0], truth) for n in k_fic},
-                                   config, _STREAM_TRUE, a_idx, failed)
+            # Every fitted level, so the four estimates run at once; the
+            # levels whose K_fic fails drop their K_true below.
+            pairs = {n: (fit[0], truth) for n, fit in fits.items()}
+            tasks.append(functools.partial(_complexities, pairs, config,
+                                           _STREAM_TRUE, a_idx))
+    results = iter(_fork_map(tasks))
+    rows = []
+    summary = []
+    errors = 0
+    for algorithm, fits, failed in zip(config.algorithms, all_fits,
+                                       all_failed):
+        k_fic = _estimates(next(results), failed)
+        k_true = _estimates(next(results), failed) \
+            if config.truth_known else {}
         fic_values = {}
         for n in levels:
             if n in failed:
@@ -418,42 +458,60 @@ def cmd_landscape(config: ExperimentConfig) -> list:
     return [surf_path, prof_path]
 
 
-def _oracle_checks(config: ExperimentConfig):
+def _fic_check(name: str, expected: float, family, generator,
+               sample_size: int, replicates: int, seed: int) -> tuple:
+    """An oracle row: ``fic_complexity`` against a closed form, within
+    3 standard errors."""
+    est = fic_complexity(family, generator, sample_size, replicates, seed)
+    return (name, expected, est.value, est.std_error,
+            abs(est.value - expected) <= 3 * est.std_error)
+
+
+def _evt_row(m: int, nu: int, replicates: int, seed: int) -> tuple:
+    """An evt-table row: the formula (m >= 2) and the simulated mean."""
+    formula = evt_complexity(m, nu) if m >= 2 else None
+    mc = max_chi2_mc(m, nu, replicates, seed)
+    return (m, nu, formula, mc.value, mc.std_error)
+
+
+def _evt_check(m: int, rel: float, replicates: int, seed: int) -> tuple:
+    """An oracle row: the EVT formula against simulated maxima of m
+    chi-squared(1) draws, within a relative tolerance."""
+    _, _, formula, value, se = _evt_row(m, 1, replicates, seed)
+    return (f"evt_m{m}_nu1", formula, value, se,
+            abs(formula - value) / value <= rel)
+
+
+def _oracle_checks(config: ExperimentConfig) -> list:
     reps = config.replicates
     seed = config.seed
     checks = []
-
-    def add(name, expected, estimate, tolerance):
-        got = estimate.value
-        se = estimate.std_error
-        checks.append((name, expected, got, se,
-                       abs(got - expected) <= tolerance))
-
     for i, (k, n) in enumerate([(1, 10), (2, 10), (3, 12), (5, 100)]):
-        fam = gaussian_mean_family(k)
-        gen = gaussian_mean_model(np.zeros(k))
-        est = fic_complexity(fam, gen, n, reps, derive_seed(seed, 30, i))
-        add(f"gaussian_mean_K{k}_N{n}", float(k), est, 3 * est.std_error)
+        checks.append(functools.partial(
+            _fic_check, f"gaussian_mean_K{k}_N{n}", float(k),
+            gaussian_mean_family(k), gaussian_mean_model(np.zeros(k)), n,
+            reps, derive_seed(seed, 30, i)))
     for i, n in enumerate([2, 10, 100]):
-        est = fic_complexity(exponential_family(), exponential_model(1.0),
-                             n, reps, derive_seed(seed, 31, i))
-        add(f"exponential_N{n}", aicc_exponential(n), est,
-            3 * est.std_error)
+        checks.append(functools.partial(
+            _fic_check, f"exponential_N{n}", aicc_exponential(n),
+            exponential_family(), exponential_model(1.0), n, reps,
+            derive_seed(seed, 31, i)))
     for i, (p, n) in enumerate([(1, 10), (2, 10), (3, 30)]):
         t = np.linspace(0.0, 1.0, n)
         design = np.column_stack([t ** q for q in range(p)])
         fam = linear_regression_family(design)
         gen = fam.model_at(ParameterVector(np.concatenate(
             [np.ones(p), [1.0]])))
-        est = fic_complexity(fam, gen, n, reps, derive_seed(seed, 32, i))
-        add(f"linear_regression_K{p + 1}_N{n}",
-            aicc_linear_regression(p + 1, n), est, 3 * est.std_error)
+        checks.append(functools.partial(
+            _fic_check, f"linear_regression_K{p + 1}_N{n}",
+            aicc_linear_regression(p + 1, n), fam, gen, n, reps,
+            derive_seed(seed, 32, i)))
     for i, (m, rel) in enumerate([(20, 0.15), (1000, 0.05)]):
-        mc = max_chi2_mc(m, 1, max(reps, 20000), derive_seed(seed, 33, i))
-        formula = evt_complexity(m, 1)
-        checks.append((f"evt_m{m}_nu1", formula, mc.value, mc.std_error,
-                       abs(formula - mc.value) / mc.value <= rel))
-    return checks
+        checks.append(functools.partial(
+            _evt_check, m, rel, max(reps, 20000), derive_seed(seed, 33, i)))
+    # The m = 1000 maxima are most of the suite's time: start them first.
+    done = _fork_map(checks[-1:] + checks[:-1])
+    return done[1:] + done[:1]
 
 
 def cmd_oracle_suite(config: ExperimentConfig) -> list:
@@ -478,13 +536,10 @@ class OracleFailure(FickitError):
 def cmd_evt_table(config: ExperimentConfig) -> list:
     """Extreme-value formula vs direct simulation over a grid of
     multiplicities and degrees of freedom."""
-    rows = []
-    for m in config.evt_m_values:
-        for nu in config.evt_nu_values:
-            formula = evt_complexity(m, nu) if m >= 2 else None
-            mc = max_chi2_mc(int(m), int(nu), config.replicates,
-                             derive_seed(config.seed, 40, int(m), int(nu)))
-            rows.append((int(m), int(nu), formula, mc.value, mc.std_error))
+    rows = _fork_map([
+        functools.partial(_evt_row, int(m), int(nu), config.replicates,
+                          derive_seed(config.seed, 40, int(m), int(nu)))
+        for m in config.evt_m_values for nu in config.evt_nu_values])
     path = write_csv(Path(config.out_dir) / "evt.csv",
                      _metadata(config, "evt-table"),
                      ["m", "nu", "evt_formula", "mc_mean", "mc_stderr"],

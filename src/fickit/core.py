@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -356,6 +357,137 @@ def unwrap(results: list) -> list:
         if isinstance(result, Exception):
             raise result
     return results
+
+
+# True in a worker of _fork_map, whose own calls then run in-process.
+_IN_WORKER = False
+# Task tokens are 4-byte run numbers, all written at once before the
+# first fork: at most one page, which a new pipe always holds.
+_MAX_RUNS = 1024
+
+
+def _fork_map(thunks: Sequence[Callable]) -> list:
+    """``[t() for t in thunks]``, computed by forked worker processes,
+    one per CPU this process may run on.
+
+    The thunks must be pure: a worker is a fork of the caller, so it
+    sees the caller's objects as they were at the call. The workers
+    take the thunks in the given order, the next as each finishes, and
+    send back each result or exception pickled. The first exception in
+    the given order is raised once every worker has ended; it keeps its
+    type and message. A worker that ends before sending all its results
+    is a ``ChildProcessError``. Runs in-process when one CPU is usable,
+    without ``os.fork``, in a worker, or beside other Python threads
+    (a fork copies their held locks).
+    """
+    # Imported on use: pickle and threading imported ahead of numpy
+    # raised the peak memory of commands that never fork by 64 KB.
+    import selectors
+    import signal
+    import threading
+
+    thunks = list(thunks)
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else 1)
+    workers = min(cpus, len(thunks))
+    if (workers < 2 or _IN_WORKER or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return [t() for t in thunks]
+    runs = min(len(thunks), _MAX_RUNS)
+    bounds = [k * len(thunks) // runs for k in range(runs + 1)]
+    replies, pids, codes = {}, [], []
+    selector = selectors.DefaultSelector()
+    tasks, queued = fds = list(os.pipe())
+    try:
+        # Every run is queued before the first fork, so a worker reads
+        # its next run or the end of the pipe and never waits.
+        os.write(queued, b"".join(k.to_bytes(4, "little")
+                                  for k in range(runs)))
+        os.close(fds.pop())
+        for _ in range(workers):
+            fds += os.pipe()                        # fds[-2:]: read, write
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    for fd in fds[1:-1]:            # keep tasks and write
+                        os.close(fd)
+                    _work(thunks, bounds, tasks, fds[-1])
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+            os.close(fds.pop())
+            selector.register(fds[-1], selectors.EVENT_READ, bytearray())
+        os.close(fds.pop(0))
+        while selector.get_map():
+            for key, _ in selector.select():
+                chunk = os.read(key.fd, 1 << 16)
+                key.data.extend(chunk)
+                if not chunk:                       # the worker has ended
+                    selector.unregister(key.fd)
+                    replies.update(_replies(key.data))
+        while pids:
+            status = os.waitpid(pids[-1], 0)[1]
+            codes.append(os.waitstatus_to_exitcode(status))
+            pids.pop()
+    finally:
+        selector.close()
+        for fd in fds:
+            os.close(fd)
+        for pid in pids:                # only when the parent was stopped
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    out = []
+    for i in range(len(thunks)):
+        if i not in replies:
+            raise ChildProcessError(
+                f"a worker process ended with exit codes {codes} before "
+                f"returning task {i} of {len(thunks)}")
+        value, error = replies[i]
+        if error is not None:
+            raise error
+        out.append(value)
+    return out
+
+
+def _work(thunks, bounds, tasks: int, write: int) -> None:
+    """A worker of ``_fork_map``: runs each run of thunks it reads from
+    the ``tasks`` pipe until the pipe is empty, and writes one
+    length-prefixed pickle of (index, value, exception) per thunk."""
+    import pickle
+    global _IN_WORKER
+    _IN_WORKER = True
+    with open(write, "wb") as out:
+        while len(token := os.read(tasks, 4)) == 4:
+            k = int.from_bytes(token, "little")
+            for i in range(bounds[k], bounds[k + 1]):
+                try:
+                    reply = (i, thunks[i](), None)
+                except Exception as exc:
+                    try:
+                        pickle.loads(pickle.dumps(exc))
+                    except Exception:
+                        exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+                    reply = (i, None, exc)
+                data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+                out.write(len(data).to_bytes(8, "little") + data)
+                out.flush()
+
+
+def _replies(data: bytearray) -> dict:
+    """index -> (value, exception) of each whole reply in ``data``; a
+    worker that died mid-write leaves its last reply cut short."""
+    import pickle
+    replies, pos = {}, 0
+    while pos + 8 <= len(data):
+        end = pos + 8 + int.from_bytes(data[pos:pos + 8], "little")
+        if end > len(data):
+            break
+        i, value, error = pickle.loads(data[pos + 8:end])
+        replies[i] = (value, error)
+        pos = end
+    return replies
 
 
 def shannon_information(data: Dataset, model: FittedModel):

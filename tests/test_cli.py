@@ -100,12 +100,15 @@ class TestExperimentConfig:
          cli.MAX_REPLICATES + 1),
         ("evt-table", "evt_table", "evt_m_values", [cli.MAX_EVT + 1]),
         ("evt-table", "evt_table", "evt_nu_values", [cli.MAX_EVT + 1]),
+        ("evt-table", "evt_table", "out_dir", "x\ud800"),
+        ("evt-table", "evt_table", "out_dir", "x\x00y"),
     ], ids=["sample_size_string", "replicates_float", "grid_axis_short",
             "evt_m_zero", "algorithms_string", "landscape_truth_huge_int",
             "simulate_sample_size_huge", "sweep_sample_size_huge",
             "replicates_huge_int", "evt_m_huge", "evt_nu_huge_int",
             "sample_size_over_cap", "landscape_sample_size_over_cap",
-            "replicates_over_cap", "evt_m_over_cap", "evt_nu_over_cap"])
+            "replicates_over_cap", "evt_m_over_cap", "evt_nu_over_cap",
+            "out_dir_lone_surrogate", "out_dir_nul"])
     def test_bad_field_is_usage_error(self, tmp_path, capsys, monkeypatch,
                                       command, experiment, field, value):
         # A row that gets past validation fails at once, before it can
@@ -118,8 +121,9 @@ class TestExperimentConfig:
                      "fic_complexity", "max_chi2_mc"):
             monkeypatch.setattr(cli, name, must_not_run)
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"experiment": experiment, field: value,
-                                    "out_dir": str(tmp_path / "out")}))
+        path.write_text(json.dumps({"experiment": experiment,
+                                    "out_dir": str(tmp_path / "out"),
+                                    field: value}))
         assert main([command, "--config", str(path)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} must be")
@@ -452,6 +456,13 @@ class TestMain:
                 [experiments[config.experiment], "--config", str(path)])
             assert cli._resolve_config(args) == config
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"experiment": "evt_table", "out_dir": "\xff"}')
+        assert main(["evt-table", "--config", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            f"error: config {path} is not UTF-8")
+
     def test_missing_config_file(self, capsys):
         assert main(["sweep", "--config", "/nonexistent.json"]) == EXIT_USAGE
 
@@ -502,6 +513,38 @@ class TestMain:
             assert code == EXIT_OK
         assert (tmp_path / "a" / "evt.csv").read_bytes() == \
             (tmp_path / "b" / "evt.csv").read_bytes()
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("command", ["sweep", "oracle-suite",
+                                         "evt-table"])
+    def test_default_csvs_do_not_depend_on_the_cpu_count(
+            self, tmp_path, capsys, use_cpus, no_children, command):
+        outputs = []
+        for cpus in (1, 2):
+            use_cpus(cpus)
+            out = tmp_path / str(cpus)
+            assert main([command, "--out", str(out)]) == EXIT_OK
+            assert no_children()
+            outputs.append({p.name: p.read_bytes()
+                            for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+
+    def test_failed_command_leaves_no_child(self, tmp_path, monkeypatch,
+                                            use_cpus, no_children):
+        use_cpus(2)
+
+        def buggy(*args):
+            raise KeyError("a bug in a worker")
+
+        monkeypatch.setattr(cli, "_complexity_replicates", buggy)
+        config = ExperimentConfig(experiment="neutrino_sweep",
+                                  sample_size=20, replicates=10, n_max=1,
+                                  out_dir=str(tmp_path))
+        with pytest.raises(KeyError, match="a bug in a worker"):
+            cmd_sweep(config)
+        assert no_children()
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 def _readme():
@@ -558,14 +601,17 @@ def _holding(name, x):
 def _invalid(name):
     """Values of ``name`` drawn from its row of the field table: one
     below the least value, one above the cap, a huge integer and the
-    wrong types. Some of them are valid for a field with no bounds (a
+    wrong types, and for a string field the strings no path can hold.
+    Some of them are valid for a field with no bounds (a
     huge seed), and each invalid one is rejected before any work."""
     row = cli._FIELDS[name]
     edges = [b + d for b, d in ((row.low, -1), (row.cap, 1))
              if math.isfinite(b)]
     values = [_holding(name, x) for x in edges + [10 ** 400, 2.5, None,
                                                     True]] + [[], {}]
-    if not isinstance(getattr(ExperimentConfig, name), str):
+    if isinstance(getattr(ExperimentConfig, name), str):
+        values += ["x\ud800", "x\x00y"]        # no path can hold them
+    else:
         values += ["3", _holding(name, "3")]    # no stray output dirs
     return values
 
@@ -663,7 +709,7 @@ class TestConfigFuzz:
                       "FILE/sub": tmp / "FILE" / "sub"}
             out = raw.get("out_dir", "OUT")
             raw = dict(raw, out_dir=str(places[out])
-                       if isinstance(out, str) else out)
+                       if isinstance(out, str) and out in places else out)
             path = tmp / "config.json"
             path.write_text(json.dumps(raw))
             code = main([command, "--config", str(path)])

@@ -3,8 +3,10 @@ statistic and divergence, and the error statistic."""
 
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -360,3 +362,82 @@ class TestErrorStatistic:
         direct = fic_complexity(family, truth, 10, replicates=3000,
                                 seed=22)
         assert abs(direct.value - 1.0) <= 3 * direct.std_error
+
+
+def _raise(exc):
+    raise exc
+
+
+class _Unpicklable(Exception):
+    def __init__(self, a, b):               # pickle calls it with one arg
+        super().__init__(f"{a} {b}")
+
+
+class TestForkMap:
+    def test_results_in_order_from_workers(self, use_cpus, no_children):
+        use_cpus(2)
+        parent = os.getpid()
+        got = core._fork_map([lambda i=i: (i, os.getpid()) for i in range(7)])
+        assert [i for i, _ in got] == list(range(7))
+        assert parent not in {pid for _, pid in got}
+        assert no_children()
+
+    def test_more_thunks_than_task_runs(self, use_cpus, no_children):
+        use_cpus(2)
+        count = 3 * core._MAX_RUNS + 5
+        assert core._fork_map([lambda i=i: i * i for i in range(count)]) \
+            == [i * i for i in range(count)]
+        assert no_children()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_first_error_in_order_keeps_type_and_message(
+            self, use_cpus, no_children, cpus):
+        use_cpus(cpus)
+        thunks = [lambda: 1, lambda: _raise(KeyError("not a fickit error")),
+                  lambda: _raise(FitError("injected"))]
+        with pytest.raises(KeyError, match="not a fickit error"):
+            core._fork_map(thunks)
+        with pytest.raises(FitError) as info:
+            core._fork_map(thunks[:1] + thunks[2:])
+        assert str(info.value) == "injected"
+        assert no_children()
+
+    def test_error_that_does_not_pickle_is_retold(self, use_cpus,
+                                                    no_children):
+        use_cpus(2)
+        with pytest.raises(RuntimeError, match="_Unpicklable: 1 2"):
+            core._fork_map([lambda: 0, lambda: _raise(_Unpicklable(1, 2))])
+        assert no_children()
+
+    def test_dead_worker_is_an_error_not_a_hang(self, use_cpus,
+                                                no_children):
+        use_cpus(2)
+
+        def hung(*_):
+            raise TimeoutError("_fork_map still waiting after 10 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(10)
+        start = time.monotonic()
+        try:
+            with pytest.raises(ChildProcessError, match="exit codes"):
+                core._fork_map([lambda: os._exit(1), lambda: 2, lambda: 3])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 5.0
+        assert no_children()
+
+    def test_nested_call_runs_in_its_worker(self, use_cpus):
+        use_cpus(2)
+
+        def nested():
+            return os.getpid(), core._fork_map([os.getpid, os.getpid])
+
+        for pid, inner in core._fork_map([nested, nested]):
+            assert inner == [pid, pid]
+            assert pid != os.getpid()
+
+    def test_one_cpu_runs_in_process(self, use_cpus):
+        use_cpus(1)
+        assert core._fork_map([os.getpid, os.getpid]) == [os.getpid()] * 2

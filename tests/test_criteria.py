@@ -474,6 +474,29 @@ class TestLoocv:
         se = diffs.std(ddof=1) / math.sqrt(draws)
         assert abs(diffs.mean()) <= 3 * se
 
+    @pytest.mark.parametrize("n", [2, 5, 300, 1000])
+    @pytest.mark.parametrize("family, positive", [
+        (gaussian_mean_family(1), False), (exponential_family(), True),
+        (fixed_family(gaussian_mean_model([0.3])), False)])
+    def test_blocks_match_the_row_loop(self, n, family, positive):
+        # Fit one leave-one-out dataset at a time and sum in row order:
+        # the block fit must give the same bits.
+        x = replicate_rng(54, n).standard_normal(n)
+        if positive:
+            x = np.abs(x) + 0.1
+        total = 0.0
+        for i in range(n):
+            fitted = family.fit(Dataset(np.delete(x, i)))
+            total += shannon_information(Dataset(x[i:i + 1]), fitted)
+        assert loocv(Dataset(x), family).criterion_value == total
+
+    def test_block_error_is_the_row_loop_error(self):
+        x = np.abs(replicate_rng(55, 0).standard_normal(300)) + 0.1
+        x[7] = -1.0
+        with pytest.raises(FitError) as info:
+            loocv(Dataset(x), exponential_family())
+        assert str(info.value) == "exponential data must be strictly positive"
+
     def test_refuses_structured_family(self):
         data = neutrino_truth(20).sampler(20, replicate_rng(53, 0))
         with pytest.raises(StructuredDataError):
