@@ -381,7 +381,7 @@ def _fork_map(thunks: Sequence[Callable]) -> list:
     (a fork copies their held locks).
     """
     # Imported on use: pickle and threading imported ahead of numpy
-    # raised the peak memory of commands that never fork by 64 KB.
+    # raised the peak memory of commands that never fork (30-60 KB).
     import selectors
     import signal
     import threading
