@@ -222,12 +222,14 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: Path, metadata: dict, header: Sequence[str],
-              rows: Iterable[Sequence]) -> Path:
+              rows: Iterable[Sequence],
+              keys: Optional[Iterable[str]] = None) -> Path:
+    """``keys``, if given: each row's leading fields, already joined."""
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"# {k} = {v}" for k, v in metadata.items()]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(map(_fmt, row)))
+    fields = (",".join(map(_fmt, row)) for row in rows)
+    lines.extend(fields if keys is None else map(",".join, zip(keys, fields)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -443,14 +445,14 @@ def cmd_landscape(config: ExperimentConfig) -> list:
     out = Path(config.out_dir)
     meta = _metadata(config, "landscape")
     a1, a2 = grid_result.axis1_values, grid_result.axis2_values
-    # Rows built column by column, each axis value formatted once; the
-    # surfaces' Python floats take _fmt's fast path.
+    # Each axis value is formatted once, and each cell's two joined
+    # once; the surfaces' Python floats take _fmt's fast path.
     t1, t2 = ([_fmt(v) for v in a.tolist()] for a in (a1, a2))
-    surf_rows = zip([v for v in t1 for _ in t2], t2 * a1.size,
-                    grid_result.d_surface.ravel().tolist(),
-                    grid_result.D_surface.ravel().tolist())
     surf_path = write_csv(out / "landscape.csv", meta,
-                          ["theta1", "theta2", "d", "D"], surf_rows)
+                          ["theta1", "theta2", "d", "D"],
+                          zip(grid_result.d_surface.ravel().tolist(),
+                              grid_result.D_surface.ravel().tolist()),
+                          keys=(f"{v1},{v2}" for v1 in t1 for v2 in t2))
     prof_rows = zip(a2.tolist(), grid_result.d_profile.tolist(),
                     grid_result.D_profile.tolist())
     prof_path = write_csv(out / "profile.csv", meta,

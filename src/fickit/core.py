@@ -158,8 +158,32 @@ class Dataset:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def _deferred(cls, build: Callable[[], np.ndarray], transform: Callable,
+                  known: np.ndarray) -> "Dataset":
+        """A Dataset whose ``memo(transform)`` is ``known`` (shaped as
+        the values, and checked for finite rows as they are) from the
+        start, and whose values ``build()`` makes only when read."""
+        if not np.isfinite(known).all():
+            raise row_error(ValueError, ~np.isfinite(known).all(axis=-1),
+                            "Dataset values must all be finite")
+        known.setflags(write=False)
+        data = object.__new__(cls)
+        object.__setattr__(data, "_memo", {transform: known})
+        object.__setattr__(data, "_build", build)
+        return data
+
+    def __getattr__(self, name: str):
+        # Only a deferred Dataset's values, before they are first read.
+        if name != "values" or "_build" not in self.__dict__:
+            raise AttributeError(f"'Dataset' object has no attribute {name!r}")
+        object.__setattr__(self, "values", Dataset(self._build()).values)
+        return self.values
+
     @property
     def sample_size(self) -> int:
+        if "values" not in self.__dict__:       # deferred, not yet read
+            return int(next(iter(self._memo.values())).shape[-1])
         return int(self.values.shape[-1])
 
     def memo(self, transform: Callable) -> np.ndarray:
@@ -232,8 +256,9 @@ class FittedModel:
 
     ``noise`` names the Generator method that draws the model's
     standard noise, and ``from_noise`` maps an (N,) noise array, or an
-    (R, N) block of them, to data. ``from_noise`` never writes into its
-    argument, so models with one noise law can share one draw.
+    (R, N) block of them, or a Dataset holding either, to data.
+    ``from_noise`` never writes into its argument, so models with one
+    noise law can share one draw, and what a noise Dataset memoises.
 
     A Gaussian model (independent normal observations) also carries
     its ``mean``, a function of the sample size n giving the (n,) mean

@@ -84,8 +84,10 @@ def _complexity_replicates(pairs: Sequence, sample_size: int,
     cancels the generator's shared-signal noise, cutting the variance by
     orders of magnitude for structured generators. A pair's values are
     those it gives alone: the pairs share the draws, so they must share
-    the generators' noise law. A generator object in several pairs maps
-    each chunk's noise to data once, held for that chunk only.
+    the generators' noise law. A noise block is a Dataset, so every
+    pair shares what it memoises (its Fourier coefficients). A
+    generator object in several pairs maps each chunk's noise to data
+    once, held for that chunk only.
     """
     laws = {generator.noise for _, generator in pairs}
     if len(laws) != 1:
@@ -93,10 +95,8 @@ def _complexity_replicates(pairs: Sequence, sample_size: int,
                          f"got {sorted(laws)}")
     law = laws.pop()
 
-    def draw(n: int, rngs) -> np.ndarray:
-        noise = draw_rows(rngs, law, n)
-        noise.setflags(write=False)             # shared by every pair
-        return noise
+    def draw(n: int, rngs) -> Dataset:
+        return Dataset(draw_rows(rngs, law, n))     # shared by every pair
 
     repeats = Counter(id(generator) for _, generator in pairs)
     held_noise, held = None, {}     # a chunk's Z noise, shared data on it
@@ -114,7 +114,7 @@ def _complexity_replicates(pairs: Sequence, sample_size: int,
         return held[key]
 
     def gap_of(family, generator: FittedModel):
-        def gap(z_noise: np.ndarray, y_noise: np.ndarray) -> np.ndarray:
+        def gap(z_noise: Dataset, y_noise: Dataset) -> np.ndarray:
             z, y = datasets(generator, z_noise, y_noise)
             fit_z = family.fit(z)
             fit_y = family.fit(y)

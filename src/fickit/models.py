@@ -98,7 +98,9 @@ def _gaussian_model(params: ParameterVector,
     A Fourier fit passes the orthonormal coefficients it ``kept`` in
     place of a mean. It scores in coefficient space (Parseval), and
     builds its data-space mean, one inverse transform, only when first
-    asked for it.
+    asked for it. It samples in coefficient space too (the transform
+    is linear): its data's coefficients are ``kept`` plus the noise's,
+    memoised on a noise Dataset, and their values are built when read.
 
     A scalar unit variance skips log 1 = 0, the division by 1 and the
     scaling of the noise by sqrt 1 = 1, which change nothing: it gives
@@ -110,11 +112,13 @@ def _gaussian_model(params: ParameterVector,
     sd = None if unit else np.sqrt(variance)[..., None]
     if kept is not None:
         N = kept.shape[-1]
-        inverse = functools.cache(lambda: inverse_fourier_transform(kept))
+        inverse = []                # the data-space mean, once built
 
         def mean(n: int) -> np.ndarray:
             _check_size(n, N)
-            return inverse()
+            if not inverse:
+                inverse.append(inverse_fourier_transform(kept))
+            return inverse[0]
 
     def log_density(data: Dataset) -> np.ndarray:
         n = data.sample_size
@@ -127,9 +131,19 @@ def _gaussian_model(params: ParameterVector,
         half = 0.5 * sq.sum(axis=-1)
         return -0.5 * n * log_norm - (half if unit else half / variance)
 
-    def from_noise(noise: np.ndarray) -> Dataset:
-        at = mean(noise.shape[-1])
-        return Dataset(at + noise if unit else at + sd * noise)
+    def from_noise(noise) -> Dataset:
+        x = getattr(noise, "values", noise)     # an array, or its Dataset
+        n = x.shape[-1]
+
+        def values() -> np.ndarray:
+            return mean(n) + x if unit else mean(n) + sd * x
+
+        if kept is None:
+            return Dataset(values())
+        _check_size(n, N)
+        c = fourier_transform(noise)
+        return Dataset._deferred(values, _coefficients,
+                                 kept + c if unit else kept + sd * c)
 
     return FittedModel(params, log_density, from_noise, label=label,
                        mean=mean, variance=variance)
@@ -236,8 +250,8 @@ def exponential_model(rate) -> FittedModel:
         logpdf = data.sample_size * log_rate - rate * x.sum(axis=-1)
         return np.where((x <= 0.0).any(axis=-1), -np.inf, logpdf)
 
-    def from_noise(noise: np.ndarray) -> Dataset:
-        return Dataset(scale * noise)
+    def from_noise(noise) -> Dataset:
+        return Dataset(scale * getattr(noise, "values", noise))
 
     return FittedModel(ParameterVector(rate[..., None]), log_density,
                        from_noise, "standard_exponential")

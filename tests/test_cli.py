@@ -139,6 +139,12 @@ class TestWriteCsv:
         assert text.splitlines() == ["# seed = 5", "# N = 10", "a,b,c",
                                      "1,0.5,x", "2,,"]
 
+    def test_keys_lead_their_rows(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", {"seed": 5}, ["a", "b", "c"],
+                         [(0.5,), (float("nan"),)], keys=["x,1", "y,2"])
+        assert path.read_text(encoding="utf-8").splitlines() == \
+            ["# seed = 5", "a,b,c", "x,1,0.5", "y,2,"]
+
 
 @pytest.mark.parametrize("value, text", [
     (0.5, "0.5"), (np.float64(1 / 3), "0.333333333333"), (-0.0, "-0"),
@@ -277,6 +283,38 @@ class TestSweep:
             assert row[-1] == f"replicates 0..29 (seed {seed}) failed: " \
                 "injected"
 
+    @pytest.mark.parametrize("algorithm", ["sequential", "greedy"])
+    def test_levels_transform_each_noise_block_once(self, monkeypatch,
+                                                   algorithm):
+        # Nine Fourier-fit generators sample in coefficient space from
+        # each chunk's two transformed noise blocks; nothing else is
+        # transformed, forward or back.
+        from fickit.core import BLOCK_BYTES
+        config = ExperimentConfig(experiment="neutrino_sweep",
+                                  sample_size=100, replicates=400)
+        data = cli._neutrino_dataset(config)
+        pairs = {}
+        for n in range(9):
+            family = cli._family(algorithm, n, 100)
+            pairs[n] = (family, family.fit(data))
+        calls = {"rfft": 0, "irfft": 0}
+
+        def counted(name):
+            fn = getattr(np.fft, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.fft, name, counted(name))
+        estimates = cli._complexities(pairs, config, cli._STREAM_FIC, 0)
+        chunks = math.ceil(400 / (BLOCK_BYTES // (8 * 100)))
+        assert chunks == 3
+        assert calls == {"rfft": 2 * chunks, "irfft": 0}
+        assert sorted(estimates) == list(range(9))
+
     def test_n_max_out_of_range(self, tmp_path):
         config = ExperimentConfig(experiment="neutrino_sweep",
                                   sample_size=10, replicates=10, n_max=8,
@@ -286,13 +324,21 @@ class TestSweep:
 
 
 class TestLandscape:
-    def test_regular_argmin_near_truth(self, tmp_path):
+    def test_regular_argmin_near_truth(self, tmp_path, monkeypatch):
         config = ExperimentConfig(
             experiment="landscape", sample_size=50, replicates=100,
             landscape_family="linear_regular", landscape_truth=(0.25, 0.5),
             grid_axis1=(-0.75, 1.25, 17), grid_axis2=(-0.5, 1.5, 17),
             out_dir=str(tmp_path))
+        fmt, types = cli._fmt, set()
+
+        def typed(x):
+            types.add(type(x))
+            return fmt(x)
+
+        monkeypatch.setattr(cli, "_fmt", typed)
         surf_path, prof_path = cmd_landscape(config)
+        assert types == {float}             # axis strings are joined once
         _, rows = _read_rows(surf_path)
         best = min(rows, key=lambda r: float(r["D"]))
         assert abs(float(best["theta1"]) - 0.25) <= 0.125 + 1e-9

@@ -62,6 +62,33 @@ class TestDataset:
         with pytest.raises(ValueError):
             d.values[0] = 5.0
 
+    def test_deferred_values_are_built_once_when_read(self):
+        built = []
+
+        def build():
+            built.append(1)
+            return np.arange(6.0).reshape(2, 3)
+
+        known = np.ones((2, 3))
+        d = Dataset._deferred(build, np.negative, known)
+        assert d.sample_size == 3 and d.memo(np.negative) is known
+        assert not known.flags.writeable and built == []
+        assert np.array_equal(d.values, np.arange(6.0).reshape(2, 3))
+        assert d.values is d.values and len(built) == 1
+        assert not d.values.flags.writeable
+        with pytest.raises(AttributeError, match="other"):
+            d.other
+
+    def test_deferred_checks_what_it_knows_and_builds(self):
+        known = np.zeros((3, 2))
+        known[2, 0] = np.nan
+        with pytest.raises(ValueError, match="row 2: Dataset values"):
+            Dataset._deferred(lambda: np.zeros((3, 2)), np.negative, known)
+        d = Dataset._deferred(lambda: np.array([[0.0, 1.0], [np.inf, 0.0]]),
+                              np.negative, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="row 1: Dataset values"):
+            d.values
+
 
 class TestParameterVector:
     def test_dimension_counts_continuous_only(self):

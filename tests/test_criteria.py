@@ -177,6 +177,33 @@ class TestSharedPairs:
                                N, R, 104)
         assert len(log) == 2 * 2 and set(live) == {2}
 
+    def test_fourier_generators_share_noise_coefficients(self):
+        # Distinct Fourier-fit generators read each chunk's noise
+        # coefficients from one memo; a pair's values are still those it
+        # gives alone, and each is its replicate's own gap, sampled one
+        # row at a time.
+        from fickit.criteria import _complexity_replicates
+        N, R = 100, 200
+        data = neutrino_truth(N).sampler(N, replicate_rng(105, 0))
+        pairs = [(f, f.fit(data)) for f in (sequential_fourier_family(1, N),
+                                            greedy_fourier_family(2, N),
+                                            greedy_fourier_family(4, N))]
+        columns = _complexity_replicates(pairs, N, R, 106)
+        for (family, generator), column in zip(pairs, columns):
+            [alone] = _complexity_replicates([(family, generator)], N, R,
+                                             106)
+            assert np.array_equal(column, alone)
+            for r in (0, 162, 163, 199):        # both chunks' edges
+                rng = replicate_rng(106, r)
+                z = generator.sampler(N, rng)
+                y = generator.sampler(N, rng)
+                fit_z, fit_y = family.fit(z), family.fit(y)
+                gap = 0.5 * ((shannon_information(y, fit_z)
+                              - shannon_information(z, fit_z))
+                             + (shannon_information(z, fit_y)
+                                - shannon_information(y, fit_y)))
+                assert column[r] == gap
+
     def test_noise_laws_must_match(self):
         from fickit.criteria import _complexity_replicates
         pairs = [(gaussian_mean_family(1), gaussian_mean_model([0.0])),

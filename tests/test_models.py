@@ -331,8 +331,9 @@ class TestBlockFits:
 class TestCoefficientSpace:
     """Fourier fits score in coefficient space. By Parseval the score is
     the data-space normal density around the inverse transform of the
-    kept coefficients; each Dataset is transformed once, and a fit's
-    data-space mean is built only for sampling."""
+    kept coefficients; each Dataset is transformed once. A fit samples
+    in coefficient space too, and builds its data-space mean only when
+    a sample's values are read."""
 
     @pytest.mark.parametrize("rows", [0, 7], ids=["one_dataset", "block"])
     @pytest.mark.parametrize("algorithm", ["sequential", "greedy"])
@@ -357,6 +358,48 @@ class TestCoefficientSpace:
                         - 0.5 * ((data.values - mean) ** 2).sum(axis=-1))
             np.testing.assert_allclose(fit.log_density(data), expected,
                                        rtol=1e-12)
+
+    @pytest.mark.parametrize("rows", [0, 6], ids=["one_dataset", "block"])
+    @pytest.mark.parametrize("algorithm", ["sequential", "greedy"])
+    def test_samples_are_the_mean_plus_noise(self, algorithm, rows):
+        N = 40
+        family = sequential_fourier_family(3, N) if algorithm == \
+            "sequential" else greedy_fourier_family(5, N)
+        truth = neutrino_truth(N)
+        rng = [replicate_rng(77, r) for r in range(rows)] if rows \
+            else replicate_rng(77, 0)
+        fit = family.fit(truth.sampler(N, rng))
+        noise = draw_rows([replicate_rng(78, r) for r in range(rows or 4)],
+                          fit.noise, N)
+        for source in (noise, Dataset(noise), noise[0]):
+            data = fit.from_noise(source)
+            c = fourier_transform(data)         # known before any values
+            assert data.sample_size == N and "values" not in vars(data)
+            expected = fit.mean(N) + getattr(source, "values", source)
+            assert np.array_equal(data.values, expected)
+            assert data.values is data.values
+            assert not data.values.flags.writeable
+            np.testing.assert_allclose(c, fourier_transform(data.values),
+                                       rtol=1e-12, atol=1e-12)
+            assert fourier_transform(data) is c
+
+    def test_non_finite_sample_names_its_row(self):
+        N, R = 40, 5
+        family = sequential_fourier_family(2, N)
+        coords = np.zeros((R, 5))
+        coords[3, 1] = np.inf
+        fit = family.model_at(ParameterVector(coords))
+        noise = draw_rows([replicate_rng(79, r) for r in range(R)],
+                          fit.noise, N)
+        with pytest.raises(ValueError, match="row 3: Dataset values must "
+                           "all be finite") as info:
+            fit.from_noise(noise)
+        assert info.value.row == 3
+        huge = family.model_at(ParameterVector([1e308] * 5))
+        data = huge.from_noise(noise)       # finite coefficients, values
+        with pytest.raises(ValueError, match="row 0: Dataset values"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            data.values                     # beyond the float range
 
     def test_one_forward_transform_per_dataset(self, monkeypatch):
         calls = {"rfft": 0, "irfft": 0}
@@ -383,9 +426,19 @@ class TestCoefficientSpace:
                 shannon_information(data, fit_z)
                 shannon_information(data, fit_y)
         assert calls == {"rfft": 2, "irfft": 0}
-        fit_z.sampler(N, replicate_rng(74, 0))
-        fit_z.sampler(N, replicate_rng(75, 0))
-        assert calls == {"rfft": 2, "irfft": 1}
+        # Sampling a fit transforms its noise, once per noise Dataset
+        # for every fit that shares it, and builds the data-space mean
+        # (one inverse transform per fit) only when values are read.
+        first = fit_z.sampler(N, replicate_rng(74, 0))
+        second = fit_z.sampler(N, replicate_rng(75, 0))
+        assert calls == {"rfft": 4, "irfft": 0}
+        noise = Dataset(draw_rows(replicate_rng(76, 0), "standard_normal", N))
+        shared = [fit.from_noise(noise) for fit in (fit_z, fit_y, fit_z)]
+        for data in shared:
+            shannon_information(data, fit_y)
+        assert calls == {"rfft": 5, "irfft": 0}
+        first.values, second.values, shared[0].values
+        assert calls == {"rfft": 5, "irfft": 1}
 
         c = fourier_transform(z)
         assert c is fourier_transform(z)
@@ -395,9 +448,9 @@ class TestCoefficientSpace:
         twin = Dataset(z.values)            # equal values, another Dataset
         assert fourier_transform(twin) is not c
         assert np.array_equal(fourier_transform(twin), c)
-        assert calls["rfft"] == 3
+        assert calls["rfft"] == 6
         assert fourier_transform(z.values).flags.writeable
-        assert calls["rfft"] == 4
+        assert calls["rfft"] == 7
 
 
 class TestNoise:
