@@ -14,8 +14,9 @@ from typing import Sequence
 import numpy as np
 
 from .core import (BLOCK_BYTES, LOG_2PI, Dataset, FickitError, FittedModel,
-                   MonteCarloEstimate, ParameterVector, kl_statistic,
-                   replicate_values, shannon_information, unwrap)
+                   MonteCarloEstimate, ParameterVector, _chunk_rows,
+                   kl_statistic, replicate_values, shannon_information,
+                   unwrap)
 
 # Eigenvalues below this fraction of the largest are treated as
 # degenerate directions and pseudo-inverted.
@@ -122,7 +123,7 @@ def max_chi2_mc(m: int, nu: int, replicates: int,
     # replicate in pieces of columns when its m draws exceed the
     # budget. Split calls continue one stream, so the draws do not
     # depend on the chunking.
-    rows = max(1, BLOCK_BYTES // (8 * m))
+    rows = _chunk_rows(m, BLOCK_BYTES)
     cols = min(m, BLOCK_BYTES // 8)
     for done in range(0, replicates, rows):
         top = maxima[done:done + rows]
@@ -304,7 +305,7 @@ def information_landscape(family, truth: FittedModel, data: Dataset,
     # memory of a large grid.
     cells = a1.size * a2.size
     d, D, Dse = (np.full(cells, np.nan) for _ in range(3))
-    rows = max(1, BLOCK_BYTES // (8 * N))
+    rows = _chunk_rows(N, BLOCK_BYTES)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, cells, rows):
             block = slice(start, min(start + rows, cells))

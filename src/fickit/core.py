@@ -30,6 +30,10 @@ BLOCK_BYTES = 128 * 1024
 LOG_2PI = math.log(2.0 * math.pi)
 
 
+def _chunk_rows(n: int, budget: int) -> int:
+    return max(1, budget // (8 * n))        # rows of n floats, at least one
+
+
 class FickitError(Exception):
     """Base class for errors raised by this package."""
 
@@ -330,7 +334,7 @@ def replicate_values(draw, sample_size: int, replicates: int, seed: int,
     """
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
-    rows = max(1, BLOCK_BYTES // (8 * int(sample_size)))
+    rows = _chunk_rows(int(sample_size), BLOCK_BYTES)
     # The streams' seed words are hashed a window of whole chunks at a
     # time: BLOCK_BYTES of 32-byte rows, or one chunk when that is more.
     window = rows * max(1, BLOCK_BYTES // (32 * rows))

@@ -17,7 +17,8 @@ import numpy as np
 from .analytic import FisherMatrix
 from .core import (BLOCK_BYTES, Dataset, FickitError, FittedModel,
                    MonteCarloEstimate, ParameterVector, StructuredDataError,
-                   draw_rows, replicate_values, shannon_information, unwrap)
+                   _chunk_rows, draw_rows, replicate_values,
+                   shannon_information, unwrap)
 
 Complexity = Union[float, MonteCarloEstimate, None]
 
@@ -202,7 +203,7 @@ def loocv(data: Dataset, family, label: str = "") -> CriterionReport:
     # time, row i without observation i; row i's fit scores observation
     # i. A block that fails is redone row by row, so an error is the
     # one-row fit's. The sum runs in row order, as one row at a time.
-    rows = max(1, BLOCK_BYTES // (8 * n))
+    rows = _chunk_rows(n, BLOCK_BYTES)
     total = 0.0
     for start in range(0, n, rows):
         stop = min(start + rows, n)

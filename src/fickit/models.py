@@ -4,7 +4,6 @@ greedy mode selection)."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -402,32 +401,31 @@ def greedy_mask(coeffs: np.ndarray, n: int) -> np.ndarray:
     coefficient vector or for each row of a block: the constant mode
     plus the n largest-magnitude remaining coefficients.
 
-    A partition finds the n-th largest magnitude among positions
-    1..N-1, and every magnitude at least as large is kept. In a row
-    with more ties at that magnitude than places left, the ties fill
-    the places in the tie-break order (smaller absolute mode index
-    first, positive first). Exact, and linear per row.
+    With the constant mode's magnitude set to infinity, a partition
+    finds the (n + 1)-th largest, and every magnitude at least as large
+    is kept. Ties at it beyond the places left fill them in the
+    tie-break order (smaller absolute mode index first, positive
+    first). Exact, and linear per row.
     """
     c = np.asarray(coeffs, dtype=float)
     N = c.shape[-1]
-    mags = np.abs(c.reshape(-1, N)[:, 1:])
-    if n == 0:
-        keep = np.zeros(mags.shape, dtype=bool)
-    else:
-        nth = np.partition(mags, N - 1 - n, axis=1)[:, N - 1 - n, None]
-        keep = mags >= nth
-        surplus = np.flatnonzero(keep.sum(axis=1) > n)
-        if surplus.size:
-            idx = fourier_indices(N)
-            order = np.lexsort((idx < 0, np.abs(idx)))[1:] - 1
-            m = mags[surplus][:, order]
-            above = m > nth[surplus]
-            tied = m == nth[surplus]
-            room = n - above.sum(axis=1, keepdims=True)
-            keep[surplus[:, None], order] = above | (
-                tied & (np.cumsum(tied, axis=1) <= room))
-    constant = np.ones((keep.shape[0], 1), dtype=bool)
-    return np.concatenate([constant, keep], axis=1).reshape(c.shape)
+    if n == 0:                                  # the constant mode only
+        return np.broadcast_to(np.arange(N) == 0, c.shape).copy()
+    mags = np.abs(c.reshape(-1, N))
+    mags[:, 0] = np.inf
+    nth = np.partition(mags, N - 1 - n, axis=1)[:, N - 1 - n, None]
+    keep = mags >= nth
+    surplus = np.flatnonzero(keep.sum(axis=1) > n + 1)
+    if surplus.size:
+        idx = fourier_indices(N)
+        order = np.lexsort((idx < 0, np.abs(idx)))
+        m = mags[surplus][:, order]
+        above = m > nth[surplus]
+        tied = m == nth[surplus]
+        room = n + 1 - above.sum(axis=1, keepdims=True)
+        keep[surplus[:, None], order] = above | (
+            tied & (np.cumsum(tied, axis=1) <= room))
+    return keep.reshape(c.shape)
 
 
 def greedy_fourier_family(n: int, N: int) -> ModelFamily:
@@ -501,18 +499,14 @@ def sine_regression_family(N: int) -> ModelFamily:
         raise ValueError("N must be >= 2")
     t = np.arange(N, dtype=float)
 
-    @functools.cache                     # on the first fit, not before
-    def grid():
-        # k pi / 8N for k < 8N: sin(pi t) is rounding noise at integer t.
-        omegas = np.linspace(np.pi / (8 * N), np.pi, 8 * N)[:-1]
-        basis = np.sin(np.outer(omegas, t))           # 8N - 1 frequencies x N
-        return omegas, basis, (basis ** 2).sum(axis=1)
-
     def fit(data: Dataset) -> FittedModel:
-        omegas, basis, norm2 = grid()
-        proj = _rows(lambda y: basis @ y, data.values)
-        gain = proj ** 2 / norm2
-        best = np.argmax(gain, axis=-1)               # first max: fixed rule
+        # Waves sin(w t), w = k pi / 8N for k < 8N (sin(pi t) is rounding
+        # noise at integer t): a row's projections are -Im of its 16N-point
+        # FFT at k, and |s|^2 = N/2 - 1/2 sum_t cos(2 w t).
+        omegas = np.linspace(np.pi / (8 * N), np.pi, 8 * N)[:-1]
+        norm2 = 0.5 * N - 0.5 * np.fft.fft(np.ones(N), 8 * N).real[1:]
+        proj = -np.fft.rfft(data.values, 16 * N)[..., 1:8 * N].imag
+        best = np.argmax(proj ** 2 / norm2, axis=-1)  # first max: fixed rule
         a = np.take_along_axis(proj, best[..., None], -1)[..., 0]
         return model_at(ParameterVector(
             np.stack([a / norm2[best], omegas[best]], axis=-1)))

@@ -2,6 +2,10 @@
 and the sequential/greedy mode-selection algorithms."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import fickit
 from fickit.core import (Dataset, FitError, ParameterVector, draw_rows,
                          replicate_rng, shannon_information)
 from fickit.models import (exponential_family, exponential_model,
@@ -657,30 +662,60 @@ class TestLandscapeFamilies:
         model = family.model_at(ParameterVector(np.empty((0, 2))))
         assert model.mean(12).shape == (0, 12)
 
-    def test_sine_basis_built_by_the_first_fit_only(self, monkeypatch,
-                                                    tmp_path):
-        from fickit.cli import ExperimentConfig, cmd_landscape
-        N = 20
-        outers = []
-        outer = np.outer
+    def test_landscape_does_not_load_numpy_fft(self, tmp_path):
+        # The landscape builds its sine family but never fits it, and
+        # the family builds nothing before a fit.
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(fickit.__file__)))
+        code = ("import sys; from fickit.cli import ExperimentConfig, "
+                "cmd_landscape; cmd_landscape(ExperimentConfig("
+                "experiment='landscape', landscape_family='sine_singular', "
+                "sample_size=20, replicates=5, "
+                "grid_axis1=(-1.0, 1.0, 3), grid_axis2=(0.3, 1.5, 4), "
+                f"out_dir={str(tmp_path)!r})); "
+                "sys.exit('numpy.fft' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code], env=env,
+                              timeout=60).returncode == 0
+        assert (tmp_path / "landscape.csv").exists()
 
-        def counting_outer(a, b, *args, **kwargs):
-            out = outer(a, b, *args, **kwargs)
-            outers.append(out.shape)
-            return out
+    @pytest.mark.parametrize("N", [3, 25, 100])
+    def test_sine_fit_matches_an_explicit_basis(self, monkeypatch, N):
+        omegas = np.linspace(np.pi / (8 * N), np.pi, 8 * N)[:-1]
+        basis = np.sin(np.outer(omegas, np.arange(N)))
+        rows = np.random.default_rng([47, N]).standard_normal((60, N))
+        rows[::3] += 2.0 * basis[5 * N]
+        proj, norm2 = rows @ basis.T, (basis ** 2).sum(axis=1)
+        outputs = {}
+        for name in ("fft", "rfft"):
+            def spy(*args, _fn=getattr(np.fft, name), _name=name, **kw):
+                outputs[_name] = _fn(*args, **kw)
+                return outputs[_name]
+            monkeypatch.setattr(np.fft, name, spy)
+        fit = sine_regression_family(N).fit(Dataset(rows)).params.coordinates
+        np.testing.assert_allclose(-outputs["rfft"][:, 1:8 * N].imag, proj,
+                                   rtol=0, atol=1e-12 * N)
+        np.testing.assert_allclose(
+            0.5 * N - 0.5 * outputs["fft"].real[1:], norm2, rtol=1e-12)
+        best = np.argmax(proj ** 2 / norm2, axis=1)
+        assert np.array_equal(fit[:, 1], omegas[best])
+        np.testing.assert_allclose(
+            fit[:, 0], proj[np.arange(len(rows)), best] / norm2[best],
+            rtol=1e-12)
 
-        monkeypatch.setattr(np, "outer", counting_outer)
-        # The landscape builds its sine family but never fits it.
-        cmd_landscape(ExperimentConfig(
-            experiment="landscape", sample_size=N, replicates=5,
-            grid_axis1=(-1.0, 1.0, 3), grid_axis2=(0.3, 1.5, 4),
-            out_dir=str(tmp_path)))
-        assert (8 * N - 1, N) not in outers
+    def test_sine_fit_memory_is_linear_in_n(self):
+        # An (8N - 1) x N basis alone would take 16.8 MB at N = 512.
+        N = 512
+        rows = np.random.default_rng(48).standard_normal((16, N))
+        np.fft.rfft(rows[0])            # numpy.fft's import is not the fit's
         family = sine_regression_family(N)
-        truth = family.model_at(ParameterVector([0.0, 0.9]))
-        for r in range(3):
-            family.fit(truth.sampler(N, replicate_rng(43, r)))
-        assert outers.count((8 * N - 1, N)) == 1
+        tracemalloc.start()
+        try:
+            family.fit(Dataset(rows))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        assert kept < 100_000           # and the family keeps nothing
 
     def test_sine_fit_never_picks_a_vanishing_wave(self):
         # At omega = pi, sin(omega t) is rounding noise at integer t (a
