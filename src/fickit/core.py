@@ -230,7 +230,9 @@ class ParameterVector:
     """
 
     coordinates: np.ndarray
-    tags: Optional[np.ndarray] = None
+    # A factory default leaves no class attribute ``tags``, so a
+    # deferred vector's first read of it reaches ``__getattr__``.
+    tags: Optional[np.ndarray] = field(default_factory=lambda: None)
 
     def __post_init__(self):
         coords = np.atleast_1d(np.array(self.coordinates, dtype=float))
@@ -243,6 +245,26 @@ class ParameterVector:
                 raise ValueError("discrete tags must be distinct")
             tags.setflags(write=False)
             object.__setattr__(self, "tags", tags)
+
+    @classmethod
+    def _deferred(cls, build: Callable[[], tuple]) -> "ParameterVector":
+        """A ParameterVector whose (coordinates, tags) ``build()`` makes,
+        checked as any ParameterVector's, only when its coordinates,
+        tags or dimension are first read."""
+        params = object.__new__(cls)
+        object.__setattr__(params, "_build", build)
+        return params
+
+    def __getattr__(self, name: str):
+        # Only a deferred vector's fields, before they are first read.
+        if (name not in ("coordinates", "tags")
+                or "_build" not in self.__dict__):
+            raise AttributeError(
+                f"'ParameterVector' object has no attribute {name!r}")
+        built = ParameterVector(*self._build())
+        object.__setattr__(self, "coordinates", built.coordinates)
+        object.__setattr__(self, "tags", built.tags)
+        return getattr(self, name)
 
     @property
     def dimension(self) -> int:

@@ -24,9 +24,11 @@ class ModelFamily:
     ``model_at`` builds the candidate distribution at explicit
     parameters: one row of them, or a block of rows (a leading axis),
     for which it returns one model holding each row. ``fit`` returns
-    ``model_at`` of its estimate, so each family builds its models in
-    one place. ``structured_data`` marks families whose observations
-    are not exchangeable; resampling-style validation refuses them.
+    the model ``model_at`` gives at its estimate, from the family's one
+    model constructor: a Fourier fit hands that constructor its kept
+    coefficients and builds its estimate only when it is read.
+    ``structured_data`` marks families whose observations are not
+    exchangeable; resampling-style validation refuses them.
     ``fisher_at(params, sample_size)`` gives the Fisher matrix of the
     corresponding N-observation problem.
     """
@@ -376,9 +378,15 @@ def sequential_fourier_family(n: int, N: int) -> ModelFamily:
     if not 0 <= n <= N // 2 - 1:
         raise ValueError("nesting index out of range")
     sel = _sequential_positions(n, N)
+    keep = np.zeros(N, dtype=bool)
+    keep[sel] = True
 
     def fit(data: Dataset) -> FittedModel:
-        return model_at(ParameterVector(fourier_transform(data)[..., sel]))
+        c = fourier_transform(data)
+        kept = np.zeros(c.shape)
+        np.copyto(kept, c, where=keep)
+        return _gaussian_model(
+            ParameterVector._deferred(lambda: (c[..., sel], None)), kept=kept)
 
     def model_at(params: ParameterVector) -> FittedModel:
         if params.dimension != sel.size:
@@ -415,8 +423,10 @@ def greedy_mask(coeffs: np.ndarray, n: int) -> np.ndarray:
     mags[:, 0] = np.inf
     nth = np.partition(mags, N - 1 - n, axis=1)[:, N - 1 - n, None]
     keep = mags >= nth
-    surplus = np.flatnonzero(keep.sum(axis=1) > n + 1)
-    if surplus.size:
+    # A row without NaN keeps at least n + 1 positions, so only a
+    # larger total leaves ties to break.
+    if np.count_nonzero(keep) > keep.shape[0] * (n + 1):
+        surplus = np.flatnonzero(keep.sum(axis=1) > n + 1)
         idx = fourier_indices(N)
         order = np.lexsort((idx < 0, np.abs(idx)))
         m = mags[surplus][:, order]
@@ -440,10 +450,15 @@ def greedy_fourier_family(n: int, N: int) -> ModelFamily:
     def fit(data: Dataset) -> FittedModel:
         c = fourier_transform(data)
         mask = greedy_mask(c, n)
-        shape = c.shape[:-1] + (n + 1,)
-        positions = (np.flatnonzero(mask) % N).reshape(shape)
-        return model_at(ParameterVector(c[mask].reshape(shape),
-                                        tags=idx[positions]))
+        kept = np.zeros(c.shape)
+        np.copyto(kept, c, where=mask)
+
+        def estimate() -> tuple:
+            shape = c.shape[:-1] + (n + 1,)
+            positions = (np.flatnonzero(mask) % N).reshape(shape)
+            return c[mask].reshape(shape), idx[positions]
+
+        return _gaussian_model(ParameterVector._deferred(estimate), kept=kept)
 
     def model_at(params: ParameterVector) -> FittedModel:
         coords = params.coordinates
@@ -495,8 +510,8 @@ def sine_regression_family(N: int) -> ModelFamily:
     """Singular example: amplitude times a sinusoid of unknown frequency
     in unit noise. At zero amplitude the frequency is unidentifiable and
     the in-sample landscape is rough."""
-    if N < 2:
-        raise ValueError("N must be >= 2")
+    if N < 3:
+        raise ValueError("N must be >= 3")
     t = np.arange(N, dtype=float)
 
     def fit(data: Dataset) -> FittedModel:

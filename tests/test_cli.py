@@ -395,10 +395,11 @@ class TestLandscape:
         assert [(r["d_profile"], r["D_profile"]) for r in profile] == \
             [("", "")] * 3
 
-    def test_too_few_points_for_the_family(self, tmp_path):
+    @pytest.mark.parametrize("family", ["linear_regular", "sine_singular"])
+    def test_too_few_points_for_the_family(self, tmp_path, family):
         config = ExperimentConfig(
             experiment="landscape", sample_size=2, replicates=4,
-            landscape_family="linear_regular", grid_axis1=(0.0, 1.0, 2),
+            landscape_family=family, grid_axis1=(0.0, 1.0, 2),
             grid_axis2=(0.3, 1.0, 2), out_dir=str(tmp_path))
         with pytest.raises(UsageError, match="sample_size 2"):
             cmd_landscape(config)

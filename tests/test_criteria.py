@@ -10,7 +10,7 @@ import pytest
 
 from fickit.core import (Dataset, FickitError, FitError, ParameterVector,
                          StructuredDataError, replicate_rng,
-                         shannon_information)
+                         shannon_information, unwrap)
 from fickit.criteria import (aic, aicc_exponential, aicc_linear_regression,
                              bic, bootstrap_complexity, fic, fic_complexity,
                              fic_complexity_gradient, fic_variance_estimate,
@@ -203,6 +203,32 @@ class TestSharedPairs:
                              + (shannon_information(z, fit_y)
                                 - shannon_information(y, fit_y)))
                 assert column[r] == gap
+
+    def test_block_fits_build_no_parameters(self, monkeypatch):
+        # The gap reads only the fits' scores, so a Fourier block fit
+        # never builds its ParameterVector: across three chunks of Z and
+        # Y fits, only the generators' own fits build theirs, when read.
+        from fickit.criteria import _complexity_replicates
+        N, R = 64, 600                  # chunks of 256, 256 and 88 rows
+        built = []
+        check = ParameterVector.__post_init__
+
+        def counted(params):
+            built.append(params)
+            check(params)
+
+        monkeypatch.setattr(ParameterVector, "__post_init__", counted)
+        data = neutrino_truth(N).sampler(N, replicate_rng(107, 0))
+        families = [sequential_fourier_family(2, N),
+                    greedy_fourier_family(3, N), greedy_fourier_family(0, N)]
+        pairs = [(f, f.fit(data)) for f in families]
+        assert built[1:] == []          # the truth's own parameters only
+        for _, generator in pairs:
+            assert generator.params.dimension >= 1
+        assert len(built) == 1 + len(pairs)
+        columns = unwrap(_complexity_replicates(pairs, N, R, 108))
+        assert [c.shape for c in columns] == [(R,)] * len(pairs)
+        assert len(built) == 1 + len(pairs)
 
     def test_noise_laws_must_match(self):
         from fickit.criteria import _complexity_replicates

@@ -16,11 +16,11 @@ from hypothesis.extra.numpy import arrays
 import fickit
 from fickit.core import (Dataset, FitError, ParameterVector, draw_rows,
                          replicate_rng, shannon_information)
-from fickit.models import (exponential_family, exponential_model,
-                           fixed_family, fourier_indices, fourier_transform,
-                           gaussian_mean_family, gaussian_mean_model,
-                           greedy_fourier_family, greedy_mask,
-                           greedy_piecewise_complexity,
+from fickit.models import (_coefficients, exponential_family,
+                           exponential_model, fixed_family, fourier_indices,
+                           fourier_transform, gaussian_mean_family,
+                           gaussian_mean_model, greedy_fourier_family,
+                           greedy_mask, greedy_piecewise_complexity,
                            inverse_fourier_transform,
                            linear_regression_family, linear_trend_family,
                            neutrino_mean, neutrino_truth,
@@ -245,6 +245,24 @@ class TestGreedyMask:
         c[[2, 3, -2, -3]] = 2.0
         assert list(np.flatnonzero(greedy_mask(c, 3))) == [0, 2, 3, 8 - 2]
 
+    @pytest.mark.parametrize("n", [1, 4, 30])
+    def test_one_row_tied_at_the_boundary(self, n):
+        # Distinct magnitudes in every row but row 9, whose n-th and
+        # (n + 1)-th largest non-constant ones tie: the block's kept
+        # total exceeds 16 (n + 1) by one, and row 9 alone is cut.
+        N = 32
+        rng = np.random.default_rng([7, n])
+        c = (rng.permuted(np.tile(np.arange(1.0, N + 1), (16, 1)), axis=1)
+             * rng.choice([-1.0, 1.0], (16, N)))
+        ranked = 1 + np.argsort(-np.abs(c[9, 1:]), kind="stable")
+        c[9, ranked[n]] = -c[9, ranked[n - 1]]
+        mask = greedy_mask(c, n)
+        assert np.count_nonzero(mask) == 16 * (n + 1)
+        for row, got in zip(c, mask):
+            expected = np.zeros(N, dtype=bool)
+            expected[_greedy_selection(row, n)] = True
+            assert np.array_equal(got, expected)
+
 
 def _block_cases():
     N = 24
@@ -269,8 +287,33 @@ def _block_cases():
 
 
 BLOCK_CASES = _block_cases()
+
+
+def _sampled(generator):
+    """A block drawn from the generator, and its rows as Datasets."""
+    def make(N, R):
+        block = generator.sampler(N, [replicate_rng(62, r)
+                                      for r in range(R)])
+        return block, [Dataset(row) for row in block.values]
+    return make
+
+
+def _tied(N, R):
+    """A block, and its rows, known by rounded (tie-heavy) Fourier
+    coefficients, as a Fourier generator's ``from_noise`` gives them."""
+    def known(c):
+        return Dataset._deferred(lambda: inverse_fourier_transform(c),
+                                 _coefficients, c)
+    c = np.round(np.random.default_rng([62]).standard_normal((R, N)) * 2.0)
+    return known(c), [known(row.copy()) for row in c]
+
+
 # A fixed family has no estimate: its one model holds no row per dataset.
-FITTED_CASES = {k: v for k, v in BLOCK_CASES.items() if k != "fixed"}
+FITTED_CASES = {k: (family, _sampled(generator))
+                for k, (family, generator) in BLOCK_CASES.items()
+                if k != "fixed"}
+FITTED_CASES.update({f"greedy_ties_n{n}": (greedy_fourier_family(n, 24), _tied)
+                     for n in (0, 1, 23)})
 
 
 class TestBlockFits:
@@ -309,20 +352,32 @@ class TestBlockFits:
                 assert np.array_equal(fit.params.tags[r],
                                       fit_r.params.tags)
 
-    @pytest.mark.parametrize("family, generator", FITTED_CASES.values(),
+    @pytest.mark.parametrize("family, make", FITTED_CASES.values(),
                              ids=FITTED_CASES.keys())
-    def test_fit_is_model_at_of_its_estimate(self, family, generator):
+    def test_fit_is_model_at_of_its_estimate(self, family, make):
+        # fit and model_at of its estimate are one model: the same
+        # scores, mean and samples, bit for bit.
         N, R = 24, 5
-        block = generator.sampler(N, [replicate_rng(62, r) for r in range(R)])
+        block, rows = make(N, R)
         fit = family.fit(block)
+        again = family.model_at(fit.params)
         h = fit.log_density(block)
-        assert np.array_equal(family.model_at(fit.params).log_density(block),
-                              h)
+        assert np.array_equal(again.log_density(block), h)
+        if fit.mean is not None:
+            assert np.array_equal(again.mean(N), fit.mean(N))
+        noise = Dataset(draw_rows([replicate_rng(63, r) for r in range(R)],
+                                  fit.noise, N))
+        for got, want in ((again.from_noise(noise), fit.from_noise(noise)),
+                          (again.from_noise(noise.values[0]),
+                           fit.from_noise(noise.values[0]))):
+            assert np.array_equal(fourier_transform(got),
+                                  fourier_transform(want))
+            assert np.array_equal(got.values, want.values)
         coords, tags = fit.params.coordinates, fit.params.tags
         for r in range(R):
             model = family.model_at(ParameterVector(
                 coords[r], tags=None if tags is None else tags[r]))
-            assert model.log_density(Dataset(block.values[r])) == h[r]
+            assert model.log_density(rows[r]) == h[r]
 
     def test_block_logs_are_math_log(self):
         # numpy's vectorised log may differ from math.log in the last
