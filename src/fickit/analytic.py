@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -195,6 +195,24 @@ class LandscapeGrid:
     D_std_error: np.ndarray
     invalid: np.ndarray            # bool mask of cells that failed
 
+    @classmethod
+    def _deferred(cls, build: Callable[[], np.ndarray],
+                  **fields) -> "LandscapeGrid":
+        """A grid of every field but ``D_std_error``, which ``build()``
+        makes only when first read."""
+        grid = object.__new__(cls)
+        grid.__dict__.update(fields, _build=build)
+        return grid
+
+    def __getattr__(self, name: str):
+        # Only a deferred grid's D_std_error, before it is first read.
+        if name != "D_std_error" or "_build" not in self.__dict__:
+            raise AttributeError(
+                f"'LandscapeGrid' object has no attribute {name!r}")
+        self.D_std_error = self._build()
+        del self._build                 # the closure holds the family
+        return self.D_std_error
+
     # np.fmin ignores NaN cells and gives NaN for an all-invalid
     # column: np.nanmin's result, without its all-NaN warning.
     @property
@@ -266,15 +284,22 @@ def information_landscape(family, truth: FittedModel, data: Dataset,
     only through the mean of z and its sample covariance S:
     D = 1/2 |delta|^2 - delta . mean(z), se = sqrt(delta' S delta / R).
     The R simulations, shared by every cell (common random numbers),
-    are drawn in chunks and kept only as those sums, so memory does not
-    grow with R. Cells are scored in chunks of ``BLOCK_BYTES`` per
-    (cells x N) array, d exactly as the models' densities give it. The
-    models of a chunk come from one ``model_at`` call for its block of
-    parameter rows; a chunk the family rejects is bisected down to the
-    cells it rejects. Cells are walked axis-2 major, so a block holds
-    every axis-1 value of few axis-2 values, each in one consecutive
-    run; a family may share work across equal consecutive axis-2
-    values (the sine family builds one wave per frequency).
+    are drawn in chunks and kept only as the sum of z: beside the
+    chunks, memory is O(N) and does not grow with R. Cells are scored in
+    chunks of ``BLOCK_BYTES`` per (cells x N) array, d exactly as the
+    models' densities give it. The models of a chunk come from one
+    ``model_at`` call for its block of parameter rows; a chunk the
+    family rejects is bisected down to the cells it rejects. Cells are
+    walked axis-2 major, so a block holds every axis-1 value of few
+    axis-2 values, each in one consecutive run; a family may share work
+    across equal consecutive axis-2 values (the sine family builds one
+    wave per frequency).
+
+    The grid's ``D_std_error`` is built on its first read and kept: the
+    simulations are drawn again from the same seed and chunks into the
+    N x N scatter matrix of z, which gives S, and the cells are walked
+    again in the same chunks for the quadratic forms. Until then the
+    grid holds the family, the truth and the O(N) sums, not S.
 
     Cells whose parameters the family rejects (``ValueError`` or a
     ``FickitError``) or whose losses overflow are flagged, not fatal,
@@ -287,46 +312,72 @@ def information_landscape(family, truth: FittedModel, data: Dataset,
     N = data.sample_size
     mu0 = _unit_normal_mean(truth, N)
     h_truth_data = shannon_information(data, truth)
-    z_sum = np.zeros(N)
-    scatter = np.zeros((N, N))
-
-    def accumulate(y: Dataset) -> np.ndarray:
-        z = y.values - mu0
-        z_sum[:] += z.sum(axis=0)
-        scatter[:] += z.T @ z
-        return np.empty((len(z), 0))            # nothing per replicate
-
-    unwrap(replicate_values(truth.sampler, N, replicates, seed,
-                            [accumulate]))
-    z_mean = z_sum / replicates
-    cov = (scatter - replicates * np.outer(z_mean, z_mean)) / (replicates - 1)
+    rows = _chunk_rows(N, BLOCK_BYTES)
     # Cells go by walk index and are transposed to the grid's shape at
     # the end: a list of every cell's parameters would raise the peak
     # memory of a large grid.
     cells = a1.size * a2.size
-    d, D, Dse = (np.full(cells, np.nan) for _ in range(3))
-    rows = _chunk_rows(N, BLOCK_BYTES)
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def simulations(add) -> None:
+        """``add(z)`` for each chunk of the R simulations."""
+        def statistic(y: Dataset) -> np.ndarray:
+            z = y.values - mu0
+            add(z)
+            return np.empty((len(z), 0))        # nothing per replicate
+        unwrap(replicate_values(truth.sampler, N, replicates, seed,
+                                [statistic]))
+
+    def cell_blocks():
+        """(slice of the walk, cell means) for each chunk of cells."""
         for start in range(0, cells, rows):
             block = slice(start, min(start + rows, cells))
             j, i = np.divmod(np.arange(block.start, block.stop), a1.size)
-            means = _cell_means(family, np.column_stack([a1[i], a2[j]]), N)
+            yield block, _cell_means(
+                family, np.column_stack([a1[i], a2[j]]), N)
+
+    def grid_shape(x: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(x.reshape(a2.size, a1.size).T)
+
+    z_sum = np.zeros(N)
+    simulations(lambda z: np.add(z_sum, z.sum(axis=0), out=z_sum))
+    z_mean = z_sum / replicates
+    d, D = np.full(cells, np.nan), np.full(cells, np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block, means in cell_blocks():
             sq = data.values - means
             np.square(sq, out=sq)
             d[block] = (0.5 * N * LOG_2PI + 0.5 * sq.sum(axis=-1)
                         - h_truth_data)
-            delta = means - mu0
+            # delta reuses sq's buffer: one fewer chunk temporary, which
+            # otherwise lands at the heap top, is trimmed when freed and
+            # faults back in on the next chunk (96 minor faults per call
+            # at the default landscape).
+            delta = np.subtract(means, mu0, out=sq)
             D[block] = (0.5 * np.square(delta).sum(axis=-1)
                         - delta @ z_mean)
-            # S is singular when R <= N: rounding can take the quadratic
-            # form of a null direction below 0.
-            spread = np.maximum(((delta @ cov) * delta).sum(axis=-1), 0.0)
-            Dse[block] = np.sqrt(spread) / np.sqrt(replicates)
     invalid = ~(np.isfinite(d) & np.isfinite(D))
-    d[invalid] = D[invalid] = Dse[invalid] = np.nan
-    return LandscapeGrid(a1, a2, *(
-        np.ascontiguousarray(x.reshape(a2.size, a1.size).T)
-        for x in (d, D, Dse, invalid)))
+    d[invalid] = D[invalid] = np.nan
+
+    def std_error() -> np.ndarray:
+        scatter = np.zeros((N, N))
+        simulations(lambda z: np.add(scatter, z.T @ z, out=scatter))
+        cov = (scatter - replicates * np.outer(z_mean, z_mean)) \
+            / (replicates - 1)
+        Dse = np.full(cells, np.nan)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for block, means in cell_blocks():
+                delta = means - mu0
+                # S is singular when R <= N: rounding can take the
+                # quadratic form of a null direction below 0.
+                spread = np.maximum(((delta @ cov) * delta).sum(axis=-1),
+                                    0.0)
+                Dse[block] = np.sqrt(spread) / np.sqrt(replicates)
+        Dse[invalid] = np.nan
+        return grid_shape(Dse)
+
+    return LandscapeGrid._deferred(
+        std_error, axis1_values=a1, axis2_values=a2, d_surface=grid_shape(d),
+        D_surface=grid_shape(D), invalid=grid_shape(invalid))
 
 
 def count_local_minima(profile: np.ndarray) -> int:

@@ -49,11 +49,12 @@ EXIT_NUMERICAL = 2
 EXIT_ORACLE = 3
 
 # Caps on what sizes the work, checked before any work starts. The
-# landscape holds its num1 x num2 cells whole, and N x N matrices of
-# 8 MB at MAX_LANDSCAPE_SIZE. One row of MAX_SAMPLE_SIZE float64 fills
-# BLOCK_BYTES, the engine's chunk budget. A statistic array of
-# MAX_REPLICATES is 8 MB, 10x the largest documented run. An evt-table
-# maximum makes m draws, and numpy takes nu as a float (MAX_EVT).
+# landscape holds its num1 x num2 cells whole, and its standard errors,
+# when read, N x N matrices of 8 MB at MAX_LANDSCAPE_SIZE. One row of
+# MAX_SAMPLE_SIZE float64 fills BLOCK_BYTES, the engine's chunk budget.
+# A statistic array of MAX_REPLICATES is 8 MB, 10x the largest
+# documented run. An evt-table maximum makes m draws, and numpy takes
+# nu as a float (MAX_EVT).
 MAX_GRID_CELLS = 2 ** 20
 MAX_LANDSCAPE_SIZE = 2 ** 10
 MAX_SAMPLE_SIZE = BLOCK_BYTES // 8
@@ -222,14 +223,14 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: Path, metadata: dict, header: Sequence[str],
-              rows: Iterable[Sequence],
-              keys: Optional[Iterable[str]] = None) -> Path:
-    """``keys``, if given: each row's leading fields, already joined."""
+              rows: Iterable) -> Path:
+    """Each row is a sequence of fields, or a string of its fields
+    already joined."""
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"# {k} = {v}" for k, v in metadata.items()]
     lines.append(",".join(header))
-    fields = (",".join(map(_fmt, row)) for row in rows)
-    lines.extend(fields if keys is None else map(",".join, zip(keys, fields)))
+    lines.extend(row if type(row) is str else ",".join(map(_fmt, row))
+                 for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -445,14 +446,17 @@ def cmd_landscape(config: ExperimentConfig) -> list:
     out = Path(config.out_dir)
     meta = _metadata(config, "landscape")
     a1, a2 = grid_result.axis1_values, grid_result.axis2_values
-    # Each axis value is formatted once, and each cell's two joined
-    # once; the surfaces' Python floats take _fmt's fast path.
+    # Each axis value is formatted once, and each cell row by one
+    # %-format: "%.12g" writes what _fmt writes for a finite float, and
+    # an invalid cell's two NaN are left empty, as _fmt leaves them.
     t1, t2 = ([_fmt(v) for v in a.tolist()] for a in (a1, a2))
-    surf_path = write_csv(out / "landscape.csv", meta,
-                          ["theta1", "theta2", "d", "D"],
-                          zip(grid_result.d_surface.ravel().tolist(),
-                              grid_result.D_surface.ravel().tolist()),
-                          keys=(f"{v1},{v2}" for v1 in t1 for v2 in t2))
+    surf_path = write_csv(
+        out / "landscape.csv", meta, ["theta1", "theta2", "d", "D"],
+        (f"{v1},{v2},," if bad else "%s,%s,%.12g,%.12g" % (v1, v2, x, y)
+         for v1, d_row, D_row, bad_row in zip(
+             t1, grid_result.d_surface.tolist(),
+             grid_result.D_surface.tolist(), grid_result.invalid.tolist())
+         for v2, x, y, bad in zip(t2, d_row, D_row, bad_row)))
     prof_rows = zip(a2.tolist(), grid_result.d_profile.tolist(),
                     grid_result.D_profile.tolist())
     prof_path = write_csv(out / "profile.csv", meta,

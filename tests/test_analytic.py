@@ -14,7 +14,7 @@ from fickit.analytic import (FisherMatrix, GridAxis, LandscapeGrid,
                              count_local_minima, error_statistic_correlation,
                              evt_complexity, information_landscape,
                              max_chi2_mc)
-from fickit.core import (Dataset, FickitError, ParameterVector,
+from fickit.core import (Dataset, FickitError, FittedModel, ParameterVector,
                          replicate_rng, replicate_values,
                          shannon_information, unwrap)
 from fickit.models import (exponential_model, fixed_family,
@@ -289,6 +289,40 @@ class TestInformationLandscape:
         assert g.invalid[:2].all()
         assert not g.invalid[2:].any()
         assert np.isnan(g.D_surface[g.invalid]).all()
+
+    def test_std_error_built_on_first_read(self, monkeypatch):
+        # The grid returns after one replicate pass (the sum of z) and
+        # one cell pass (d and D). The first read of D_std_error adds
+        # one of each, for the scatter and the quadratic forms, and a
+        # second read adds none. One chunk of cells and one of
+        # replicates, so each pass is one call.
+        N = 12
+        family = linear_trend_family(N)
+        truth = family.model_at(ParameterVector([0.25, 0.5]))
+        data = truth.sampler(N, replicate_rng(107, 0))
+        passes = {"cells": 0, "replicates": 0}
+        cell_means, sampler = analytic._cell_means, FittedModel.sampler
+
+        def counted_cells(*args):
+            passes["cells"] += 1
+            return cell_means(*args)
+
+        def counted_sampler(model, *args):
+            passes["replicates"] += model is truth
+            return sampler(model, *args)
+
+        monkeypatch.setattr(analytic, "_cell_means", counted_cells)
+        monkeypatch.setattr(FittedModel, "sampler", counted_sampler)
+        axes = GridAxis(-1.0, 1.0, 5), GridAxis(-1.0, 1.0, 3)
+        g = information_landscape(family, truth, data, *axes,
+                                  replicates=30, seed=108)
+        assert passes == {"cells": 1, "replicates": 1}
+        first = g.D_std_error
+        assert passes == {"cells": 2, "replicates": 2}
+        second = g.D_std_error
+        assert passes == {"cells": 2, "replicates": 2}
+        np.testing.assert_array_equal(first, second)
+        assert first.shape == (5, 3) and (first > 0).all()
 
     def test_programming_error_propagates(self):
         # A bug in model_at is not reported as an invalid cell.

@@ -139,11 +139,13 @@ class TestWriteCsv:
         assert text.splitlines() == ["# seed = 5", "# N = 10", "a,b,c",
                                      "1,0.5,x", "2,,"]
 
-    def test_keys_lead_their_rows(self, tmp_path):
+    def test_joined_rows_are_written_as_given(self, tmp_path):
+        # A string row is its fields already joined; the others are
+        # formatted field by field, in the same file.
         path = write_csv(tmp_path / "t.csv", {"seed": 5}, ["a", "b", "c"],
-                         [(0.5,), (float("nan"),)], keys=["x,1", "y,2"])
+                         ["x,1,0.5", (2, float("nan"), "y"), "z,3,"])
         assert path.read_text(encoding="utf-8").splitlines() == \
-            ["# seed = 5", "a,b,c", "x,1,0.5", "y,2,"]
+            ["# seed = 5", "a,b,c", "x,1,0.5", "2,,y", "z,3,"]
 
 
 @pytest.mark.parametrize("value, text", [
@@ -338,7 +340,11 @@ class TestLandscape:
 
         monkeypatch.setattr(cli, "_fmt", typed)
         surf_path, prof_path = cmd_landscape(config)
-        assert types == {float}             # axis strings are joined once
+        # The axis values and the profiles reach _fmt as floats: the
+        # axis strings are joined once, and no joined string passes
+        # through _fmt. The surfaces' numbers do not reach it at all;
+        # each cell row is one %-format (test_mixed_grid_rows).
+        assert types == {float}
         _, rows = _read_rows(surf_path)
         best = min(rows, key=lambda r: float(r["D"]))
         assert abs(float(best["theta1"]) - 0.25) <= 0.125 + 1e-9
@@ -346,6 +352,38 @@ class TestLandscape:
         header, prof = _read_rows(prof_path)
         assert header == ["theta2", "d_profile", "D_profile"]
         assert len(prof) == 17
+
+    @pytest.mark.parametrize("family", ["sine_singular", "linear_regular"])
+    def test_mixed_grid_rows(self, tmp_path, monkeypatch, family):
+        # Amplitudes or intercepts of 5e299 and 1e300 overflow their
+        # squares: those cells are invalid, beside valid ones at -1.
+        grids = []
+
+        def landscape(*args, **kwargs):
+            grids.append(cli_landscape(*args, **kwargs))
+            return grids[-1]
+
+        cli_landscape = cli.information_landscape
+        monkeypatch.setattr(cli, "information_landscape", landscape)
+        config = ExperimentConfig(
+            experiment="landscape", sample_size=10, replicates=20,
+            landscape_family=family, grid_axis1=(-1.0, 1e300, 3),
+            grid_axis2=(0.3, 1.0, 4), out_dir=str(tmp_path))
+        surf_path, _ = cmd_landscape(config)
+        [grid] = grids
+        assert "D_std_error" not in vars(grid)      # never computed
+        _, rows = _read_rows(surf_path)
+        invalid = grid.invalid.ravel().tolist()
+        assert invalid == [False] * 4 + [True] * 8
+        cells = zip(rows, invalid, grid.d_surface.ravel().tolist(),
+                    grid.D_surface.ravel().tolist(),
+                    [(v1, v2) for v1 in grid.axis1_values.tolist()
+                     for v2 in grid.axis2_values.tolist()])
+        for row, bad, d, D, (v1, v2) in cells:
+            assert (row["theta1"], row["theta2"]) == \
+                (format(v1, ".12g"), format(v2, ".12g"))
+            assert (row["d"], row["D"]) == (("", "") if bad else (
+                format(d, ".12g"), format(D, ".12g")))
 
     @pytest.mark.parametrize("family", ["sine_singular", "linear_regular"])
     def test_overflowing_truth_is_usage_error(self, tmp_path, family):
