@@ -23,8 +23,8 @@ import numpy as np
 
 # Byte budget of one (rows x N) float64 array of the Monte Carlo engine.
 # Replicates are drawn, fit and scored in chunks of at most this many
-# bytes per array, so memory stays flat in the replicate count; a fit
-# and its scores hold about a dozen such arrays at once.
+# bytes per array, so memory stays flat in the replicate count; a
+# complexity call holds about a dozen such arrays at once.
 BLOCK_BYTES = 128 * 1024
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -289,7 +289,11 @@ class FittedModel:
     A Gaussian model (independent normal observations) also carries
     its ``mean``, a function of the sample size n giving the (n,) mean
     (or (R, n) for a fit to a block), and its ``variance``, a scalar or
-    one per row. Other models leave both None.
+    one per row. Other models leave both None. A unit-variance Gaussian
+    model that scores in coefficient space also carries the orthonormal
+    Fourier coefficients (``models.fourier_transform``) it ``kept``,
+    (N,) or one row per fit, in place of its mean; every other model
+    leaves ``kept`` None.
     """
 
     params: ParameterVector
@@ -299,6 +303,7 @@ class FittedModel:
     label: str = ""
     mean: Optional[Callable[[int], np.ndarray]] = None
     variance: Optional[np.ndarray] = None
+    kept: Optional[np.ndarray] = None
 
     def sampler(self, sample_size: int, rng) -> Dataset:
         """A Dataset of exactly ``sample_size`` drawn from a Generator,

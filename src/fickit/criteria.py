@@ -15,10 +15,11 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .analytic import FisherMatrix
-from .core import (BLOCK_BYTES, Dataset, FickitError, FittedModel,
-                   MonteCarloEstimate, ParameterVector, StructuredDataError,
-                   _chunk_rows, draw_rows, replicate_values,
-                   shannon_information, unwrap)
+from .core import (BLOCK_BYTES, Dataset, DensityError, FickitError,
+                   FittedModel, MonteCarloEstimate, ParameterVector,
+                   StructuredDataError, _chunk_rows, draw_rows,
+                   replicate_values, row_error, shannon_information, unwrap)
+from .models import fourier_transform
 
 Complexity = Union[float, MonteCarloEstimate, None]
 
@@ -89,6 +90,17 @@ def _complexity_replicates(pairs: Sequence, sample_size: int,
     pair shares what it memoises (its Fourier coefficients). A
     generator object in several pairs maps each chunk's noise to data
     once, held for that chunk only.
+
+    When both fits carry ``kept`` coefficients (unit-variance fits that
+    score in coefficient space), the N/2 log 2 pi and squared-norm
+    terms of the four scorings cancel, and the gap is Efron's
+    covariance penalty 1/2 <c(z) - c(y), kept_z - kept_y>. The two
+    differences are taken first, so that the large constant mode
+    cancels before any product. They go into two (rows x N) buffers
+    made once per call and reused by every such pair and chunk, and
+    ``np.einsum`` reduces each row alone, so a row's gap does not
+    depend on its chunk. Every other pair of fits is scored four times
+    by ``shannon_information``.
     """
     laws = {generator.noise for _, generator in pairs}
     if len(laws) != 1:
@@ -114,11 +126,33 @@ def _complexity_replicates(pairs: Sequence, sample_size: int,
                          generator.from_noise(y_noise))
         return held[key]
 
+    work = []                       # the gap's two (rows x N) buffers
+
+    def covariance_gap(z: Dataset, y: Dataset, fit_z: FittedModel,
+                       fit_y: FittedModel) -> np.ndarray:
+        c_z = fourier_transform(z)
+        if not work:
+            # Two arrays within BLOCK_BYTES each: one twice that size
+            # would be a fresh memory map, faulted in on every call.
+            rows = min(_chunk_rows(sample_size, BLOCK_BYTES), replicates)
+            work.extend(np.empty((rows, sample_size)) for _ in range(2))
+        d, k = (w[:len(c_z)] for w in work)
+        np.subtract(c_z, fourier_transform(y), out=d)
+        np.subtract(fit_z.kept, fit_y.kept, out=k)
+        g = 0.5 * np.einsum("...i,...i->...", d, k)
+        bad = ~np.isfinite(g)
+        if bad.any():
+            raise row_error(DensityError, bad, "non-finite information: "
+                            "density underflow or invalid parameters")
+        return g
+
     def gap_of(family, generator: FittedModel):
         def gap(z_noise: Dataset, y_noise: Dataset) -> np.ndarray:
             z, y = datasets(generator, z_noise, y_noise)
             fit_z = family.fit(z)
             fit_y = family.fit(y)
+            if fit_z.kept is not None and fit_y.kept is not None:
+                return covariance_gap(z, y, fit_z, fit_y)
             gap_z = (shannon_information(y, fit_z)
                      - shannon_information(z, fit_z))
             gap_y = (shannon_information(z, fit_y)

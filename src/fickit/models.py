@@ -102,6 +102,8 @@ def _gaussian_model(params: ParameterVector,
     asked for it. It samples in coefficient space too (the transform
     is linear): its data's coefficients are ``kept`` plus the noise's,
     memoised on a noise Dataset, and their values are built when read.
+    At unit variance the model exposes them as its ``kept``, from which
+    the complexity gap of two such fits is one inner product.
 
     A scalar unit variance skips log 1 = 0, the division by 1 and the
     scaling of the noise by sqrt 1 = 1, which change nothing: it gives
@@ -147,7 +149,8 @@ def _gaussian_model(params: ParameterVector,
                                  kept + c if unit else kept + sd * c)
 
     return FittedModel(params, log_density, from_noise, label=label,
-                       mean=mean, variance=variance)
+                       mean=mean, variance=variance,
+                       kept=kept if unit else None)
 
 
 def gaussian_mean_model(means: np.ndarray, label: str = "") -> FittedModel:
@@ -278,12 +281,6 @@ def exponential_family() -> ModelFamily:
 
     return ModelFamily("exponential", fit, n_params=1,
                        model_at=model_at, fisher_at=fisher_at)
-
-
-def fixed_family(model: FittedModel, family_id: str = "fixed") -> ModelFamily:
-    """Zero-parameter family: fitting always returns the given model."""
-    return ModelFamily(family_id, fit=lambda data: model, n_params=0,
-                       model_at=lambda params: model)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,18 @@
 """Shared fixtures: the usable-CPU count that sets how many worker
-processes a command forks, and a check that none is left behind."""
+processes a command forks, and a check that none is left behind; and
+``fixed_family``, a test family that always fits one model."""
 
 import os
 
 import pytest
+
+from fickit.models import ModelFamily
+
+
+def fixed_family(model, family_id: str = "fixed") -> ModelFamily:
+    """Zero-parameter family: fitting always returns the given model."""
+    return ModelFamily(family_id, fit=lambda data: model, n_params=0,
+                       model_at=lambda params: model)
 
 
 @pytest.fixture

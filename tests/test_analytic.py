@@ -17,9 +17,11 @@ from fickit.analytic import (FisherMatrix, GridAxis, LandscapeGrid,
 from fickit.core import (Dataset, FickitError, FittedModel, ParameterVector,
                          replicate_rng, replicate_values,
                          shannon_information, unwrap)
-from fickit.models import (exponential_model, fixed_family,
-                           gaussian_mean_family, linear_regression_family,
-                           linear_trend_family, sine_regression_family)
+from fickit.models import (exponential_model, gaussian_mean_family,
+                           linear_regression_family, linear_trend_family,
+                           sine_regression_family)
+
+from conftest import fixed_family
 
 MAX_OF_TWO_CHI2 = 1.0 + 2.0 / math.pi
 

@@ -4,26 +4,54 @@ bootstrap, leave-one-out validation, and model selection."""
 import dataclasses
 import math
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fickit.core import (Dataset, FickitError, FitError, ParameterVector,
-                         StructuredDataError, replicate_rng,
-                         shannon_information, unwrap)
+from fickit.core import (Dataset, DensityError, FickitError, FitError,
+                         ParameterVector, StructuredDataError,
+                         replicate_rng, shannon_information, unwrap)
 from fickit.criteria import (aic, aicc_exponential, aicc_linear_regression,
                              bic, bootstrap_complexity, fic, fic_complexity,
                              fic_complexity_gradient, fic_variance_estimate,
                              loocv)
 from fickit.models import (exponential_family, exponential_model,
-                           fixed_family, gaussian_mean_family,
+                           fourier_transform, gaussian_mean_family,
                            gaussian_mean_model, greedy_fourier_family,
                            linear_regression_family, neutrino_truth,
                            sequential_fourier_family, sine_regression_family)
 
+from conftest import fixed_family
+
 
 def _gaussian_data(n, seed, mean=0.0):
     return Dataset(mean + replicate_rng(seed, 0).standard_normal(n))
+
+
+def _replicate_fits(family, generator, N, seed, r):
+    """Replicate r's datasets Z and Y, sampled one row at a time, and
+    the family's fits to them."""
+    rng = replicate_rng(seed, r)
+    z = generator.sampler(N, rng)
+    y = generator.sampler(N, rng)
+    return z, y, family.fit(z), family.fit(y)
+
+
+def _scored_gap(z, y, fit_z, fit_y):
+    """The symmetrised generalization gap from its four scorings."""
+    return 0.5 * ((shannon_information(y, fit_z)
+                   - shannon_information(z, fit_z))
+                  + (shannon_information(z, fit_y)
+                     - shannon_information(y, fit_y)))
+
+
+def _covariance_gap(z, y, fit_z, fit_y):
+    """The same gap for two unit-variance coefficient-space fits:
+    1/2 <c(z) - c(y), kept_z - kept_y>."""
+    return 0.5 * np.einsum("...i,...i->...",
+                           fourier_transform(z) - fourier_transform(y),
+                           fit_z.kept - fit_y.kept)
 
 
 class TestComplexityReplicates:
@@ -39,17 +67,98 @@ class TestComplexityReplicates:
         [short] = _complexity_replicates([(family, truth)], N, 40, seed=91)
         [long] = _complexity_replicates([(family, truth)], N, 100, seed=91)
         assert np.array_equal(short, long[:40])
-        # Each value is the replicate's own two-dataset gap.
+        # Each value is the replicate's own two-dataset gap: its
+        # covariance form bit for bit, and its four scorings to rounding.
         for r in (0, 17, 39):
-            rng = replicate_rng(91, r)
-            z = truth.sampler(N, rng)
-            y = truth.sampler(N, rng)
-            fit_z, fit_y = family.fit(z), family.fit(y)
-            gap = 0.5 * ((shannon_information(y, fit_z)
-                          - shannon_information(z, fit_z))
-                         + (shannon_information(z, fit_y)
-                            - shannon_information(y, fit_y)))
-            assert short[r] == gap
+            fits = _replicate_fits(family, truth, N, 91, r)
+            assert short[r] == _covariance_gap(*fits)
+            assert abs(short[r] - _scored_gap(*fits)) <= 1e-11
+
+
+class TestCovarianceGap:
+    """Pairs of unit-variance coefficient-space fits take the gap as one
+    inner product; every other pair is scored four times."""
+
+    @pytest.mark.parametrize("family", [greedy_fourier_family(4, 1000),
+                                        sequential_fourier_family(3, 1000)])
+    def test_matches_exact_arithmetic(self, family):
+        # The exact gap of the rounded coefficients, in rationals: the
+        # four scorings' constant and squared-norm terms cancel exactly.
+        # At N=1000, R=20 runs a chunk of 16 rows and one of 4.
+        from fickit.criteria import _complexity_replicates
+        N, R = 1000, 20
+        truth = neutrino_truth(N)
+        [column] = unwrap(_complexity_replicates([(family, truth)], N, R,
+                                                 110))
+        for r in range(R):
+            z, y, fit_z, fit_y = _replicate_fits(family, truth, N, 110, r)
+            c_z, c_y = fourier_transform(z), fourier_transform(y)
+            either = np.flatnonzero((fit_z.kept != 0) | (fit_y.kept != 0))
+            exact = sum((Fraction(c_z[i]) - Fraction(c_y[i]))
+                        * (Fraction(fit_z.kept[i]) - Fraction(fit_y.kept[i]))
+                        for i in either) / 2
+            assert abs(column[r] - float(exact)) <= 1e-14
+
+    @pytest.fixture
+    def scorings(self, monkeypatch):
+        """The models that ``criteria`` scores data under, one per call."""
+        from fickit import criteria
+        calls = []
+
+        def counted(data, model):
+            calls.append(model)
+            return shannon_information(data, model)
+
+        monkeypatch.setattr(criteria, "shannon_information", counted)
+        return calls
+
+    def test_fourier_pairs_are_not_scored(self, scorings):
+        from fickit.criteria import _complexity_replicates
+        N = 100
+        truth = neutrino_truth(N)
+        data = truth.sampler(N, replicate_rng(111, 0))
+        families = [sequential_fourier_family(2, N),
+                    greedy_fourier_family(3, N)]
+        pairs = ([(f, truth) for f in families]
+                 + [(f, f.fit(data)) for f in families])
+        unwrap(_complexity_replicates(pairs, N, 200, 112))
+        assert scorings == []
+
+    def test_other_pairs_keep_their_four_scorings(self, scorings):
+        from fickit.criteria import _complexity_replicates
+        N, R = 12, 30
+        t = np.linspace(0.0, 1.0, N)
+        regression = linear_regression_family(np.column_stack([np.ones(N),
+                                                               t]))
+        normal = [(gaussian_mean_family(3),
+                   gaussian_mean_model([0.5, -1.0, 2.0])),
+                  (regression, regression.model_at(
+                      ParameterVector([1.0, -2.0, 1.5])))]
+        for pairs in (normal, [(exponential_family(),
+                                exponential_model(1.5))]):
+            scorings.clear()
+            columns = unwrap(_complexity_replicates(pairs, N, R, 113))
+            assert len(scorings) == 4 * len(pairs)    # one chunk of 30
+            for (family, generator), column in zip(pairs, columns):
+                for r in range(R):
+                    assert column[r] == _scored_gap(*_replicate_fits(
+                        family, generator, N, 113, r))
+
+    def test_overflowing_coefficients_name_their_replicate(self, scorings):
+        # Replicate 3's data are about 1e308 at every time, so their
+        # Fourier sums overflow; the others are plain unit noise. The
+        # inner product fails, not a scoring.
+        N = 8
+        means = np.zeros((10, 1))
+        means[3] = 1e308
+        generator = gaussian_mean_model(means)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DensityError) as failed:
+            fic_complexity(sequential_fourier_family(1, N), generator, N,
+                           10, 114)
+        assert str(failed.value).startswith(
+            "replicate 3 (seed 114) failed: row 3: non-finite information")
+        assert scorings == []
 
 
 def _gradient_pair(family, theta, i, step):
@@ -194,15 +303,9 @@ class TestSharedPairs:
                                              106)
             assert np.array_equal(column, alone)
             for r in (0, 162, 163, 199):        # both chunks' edges
-                rng = replicate_rng(106, r)
-                z = generator.sampler(N, rng)
-                y = generator.sampler(N, rng)
-                fit_z, fit_y = family.fit(z), family.fit(y)
-                gap = 0.5 * ((shannon_information(y, fit_z)
-                              - shannon_information(z, fit_z))
-                             + (shannon_information(z, fit_y)
-                                - shannon_information(y, fit_y)))
-                assert column[r] == gap
+                fits = _replicate_fits(family, generator, N, 106, r)
+                assert column[r] == _covariance_gap(*fits)
+                assert abs(column[r] - _scored_gap(*fits)) <= 1e-11
 
     def test_block_fits_build_no_parameters(self, monkeypatch):
         # The gap reads only the fits' scores, so a Fourier block fit

@@ -17,7 +17,7 @@ import fickit
 from fickit.core import (Dataset, FitError, ParameterVector, draw_rows,
                          replicate_rng, shannon_information)
 from fickit.models import (_coefficients, exponential_family,
-                           exponential_model, fixed_family, fourier_indices,
+                           exponential_model, fourier_indices,
                            fourier_transform, gaussian_mean_family,
                            gaussian_mean_model, greedy_fourier_family,
                            greedy_mask, greedy_piecewise_complexity,
@@ -25,6 +25,8 @@ from fickit.models import (_coefficients, exponential_family,
                            linear_regression_family, linear_trend_family,
                            neutrino_mean, neutrino_truth,
                            sequential_fourier_family, sine_regression_family)
+
+from conftest import fixed_family
 
 
 class TestGaussianMeanFamily:
