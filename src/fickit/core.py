@@ -137,6 +137,14 @@ def derive_seed(seed: int, *tags: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _check_finite(values: np.ndarray) -> None:
+    """Raise the error of a Dataset whose values (one row, or a block)
+    are not all finite, naming the first such row of a block."""
+    if not np.isfinite(values).all():
+        raise row_error(ValueError, ~np.isfinite(values).all(axis=-1),
+                        "Dataset values must all be finite")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An ordered sample of real-valued observations, or a block of
@@ -152,25 +160,34 @@ class Dataset:
                         compare=False)
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
+        self._keep(np.array(self.values, dtype=float))
+
+    def _keep(self, vals: np.ndarray) -> None:
         if vals.ndim not in (1, 2) or 0 in vals.shape:
             raise ValueError("Dataset requires a non-empty 1-D sequence "
                              "or 2-D block")
-        if not np.isfinite(vals).all():
-            raise row_error(ValueError, ~np.isfinite(vals).all(axis=-1),
-                            "Dataset values must all be finite")
+        _check_finite(vals)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _own(cls, values: np.ndarray) -> "Dataset":
+        """A Dataset holding ``values``, a float array its caller has
+        just made and hands over: checked and made read-only like any
+        Dataset's values, but not copied."""
+        data = object.__new__(cls)
+        object.__setattr__(data, "_memo", {})
+        data._keep(np.asarray(values, dtype=float))
+        return data
 
     @classmethod
     def _deferred(cls, build: Callable[[], np.ndarray], transform: Callable,
                   known: np.ndarray) -> "Dataset":
         """A Dataset whose ``memo(transform)`` is ``known`` (shaped as
         the values, and checked for finite rows as they are) from the
-        start, and whose values ``build()`` makes only when read."""
-        if not np.isfinite(known).all():
-            raise row_error(ValueError, ~np.isfinite(known).all(axis=-1),
-                            "Dataset values must all be finite")
+        start, and whose values ``build()`` makes, as a fresh array it
+        hands over, only when read."""
+        _check_finite(known)
         known.setflags(write=False)
         data = object.__new__(cls)
         object.__setattr__(data, "_memo", {transform: known})
@@ -181,7 +198,7 @@ class Dataset:
         # Only a deferred Dataset's values, before they are first read.
         if name != "values" or "_build" not in self.__dict__:
             raise AttributeError(f"'Dataset' object has no attribute {name!r}")
-        object.__setattr__(self, "values", Dataset(self._build()).values)
+        object.__setattr__(self, "values", Dataset._own(self._build()).values)
         return self.values
 
     @property
@@ -293,7 +310,9 @@ class FittedModel:
     model that scores in coefficient space also carries the orthonormal
     Fourier coefficients (``models.fourier_transform``) it ``kept``,
     (N,) or one row per fit, in place of its mean; every other model
-    leaves ``kept`` None.
+    leaves ``kept`` None. A model carrying ``kept`` samples data whose
+    coefficients are ``kept + c(noise)``, so the Monte Carlo engine may
+    use ``kept`` without calling ``from_noise``.
     """
 
     params: ParameterVector

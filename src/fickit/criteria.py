@@ -8,6 +8,7 @@ and leave-one-out cross validation.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -17,9 +18,9 @@ import numpy as np
 from .analytic import FisherMatrix
 from .core import (BLOCK_BYTES, Dataset, DensityError, FickitError,
                    FittedModel, MonteCarloEstimate, ParameterVector,
-                   StructuredDataError, _chunk_rows, draw_rows,
+                   StructuredDataError, _check_finite, _chunk_rows, draw_rows,
                    replicate_values, row_error, shannon_information, unwrap)
-from .models import fourier_transform
+from .models import _FourierRule, _greedy_order, fourier_transform
 
 Complexity = Union[float, MonteCarloEstimate, None]
 
@@ -101,6 +102,15 @@ def _complexity_replicates(pairs: Sequence, sample_size: int,
     ``np.einsum`` reduces each row alone, so a row's gap does not
     depend on its chunk. Every other pair of fits is scored four times
     by ``shannon_information``.
+
+    A sequential or greedy Fourier family (a ``models._FourierRule``'s
+    bound ``fit``) is not fit: the same selections come from rankings
+    shared per chunk. A generator with ``kept`` samples coefficients
+    kept + c(noise), which are the noise's off kept's support S, so
+    each greedy level merges S into the noise's ranking. Each pair
+    scatters kept_z - kept_y into a zero buffer and patches the chunk's
+    c(z) - c(y) at S, then restores both. A greedy pair whose generator
+    keeps more than N/4 positions is fit as any.
     """
     laws = {generator.noise for _, generator in pairs}
     if len(laws) != 1:
@@ -109,36 +119,38 @@ def _complexity_replicates(pairs: Sequence, sample_size: int,
     law = laws.pop()
 
     def draw(n: int, rngs) -> Dataset:
-        return Dataset(draw_rows(rngs, law, n))     # shared by every pair
+        return Dataset._own(draw_rows(rngs, law, n))    # shared by every pair
 
     repeats = Counter(id(generator) for _, generator in pairs)
-    held_noise, held = None, {}     # a chunk's Z noise, shared data on it
+    held_noise, held = None, {}     # a chunk's Z noise (weakly), its shares
+
+    def chunk(z_noise: Dataset) -> dict:
+        nonlocal held_noise, held
+        if held_noise is None or held_noise() is not z_noise:   # a new chunk
+            held_noise, held = weakref.ref(z_noise), {}
+        return held
 
     def datasets(generator: FittedModel, z_noise, y_noise) -> tuple:
-        nonlocal held_noise, held
         key = id(generator)
         if repeats[key] < 2:
             return generator.from_noise(z_noise), generator.from_noise(y_noise)
-        if held_noise is not z_noise:           # a new chunk
-            held_noise, held = z_noise, {}
-        if key not in held:
-            held[key] = (generator.from_noise(z_noise),
-                         generator.from_noise(y_noise))
-        return held[key]
+        shared = chunk(z_noise)
+        if key not in shared:
+            shared[key] = (generator.from_noise(z_noise),
+                           generator.from_noise(y_noise))
+        return shared[key]
 
-    work = []                       # the gap's two (rows x N) buffers
+    work = {}                       # (rows x N) buffers, made on first use
 
-    def covariance_gap(z: Dataset, y: Dataset, fit_z: FittedModel,
-                       fit_y: FittedModel) -> np.ndarray:
-        c_z = fourier_transform(z)
-        if not work:
-            # Two arrays within BLOCK_BYTES each: one twice that size
-            # would be a fresh memory map, faulted in on every call.
-            rows = min(_chunk_rows(sample_size, BLOCK_BYTES), replicates)
-            work.extend(np.empty((rows, sample_size)) for _ in range(2))
-        d, k = (w[:len(c_z)] for w in work)
-        np.subtract(c_z, fourier_transform(y), out=d)
-        np.subtract(fit_z.kept, fit_y.kept, out=k)
+    def buffer(name: str, rows: int) -> np.ndarray:
+        # Each within BLOCK_BYTES: one twice that size would be a fresh
+        # memory map, faulted in on every call.
+        if name not in work:
+            work[name] = np.zeros((min(_chunk_rows(sample_size, BLOCK_BYTES),
+                                       replicates), sample_size))
+        return work[name][:rows]
+
+    def inner(d: np.ndarray, k: np.ndarray) -> np.ndarray:
         g = 0.5 * np.einsum("...i,...i->...", d, k)
         bad = ~np.isfinite(g)
         if bad.any():
@@ -146,8 +158,69 @@ def _complexity_replicates(pairs: Sequence, sample_size: int,
                             "density underflow or invalid parameters")
         return g
 
+    def covariance_gap(z: Dataset, y: Dataset, fit_z: FittedModel,
+                       fit_y: FittedModel) -> np.ndarray:
+        c_z = fourier_transform(z)
+        d, k = buffer("d", len(c_z)), buffer("k", len(c_z))
+        np.subtract(c_z, fourier_transform(y), out=d)
+        np.subtract(fit_z.kept, fit_y.kept, out=k)
+        return inner(d, k)
+
+    # Rule fits select from rankings shared per chunk: of the noise for
+    # generators with ``kept`` (key None), else of the generator's data,
+    # to the depth the deepest greedy level needs. A greedy level under
+    # a generator that keeps over N/4 positions would sort nearly all.
+    rules, depth = {}, Counter()
+    for family, generator in pairs:
+        rule, kept = getattr(family.fit, "__self__", None), generator.kept
+        S = np.flatnonzero(np.zeros(0) if kept is None else kept)
+        if (isinstance(rule, _FourierRule) and rule.N == sample_size
+                and (kept is None or kept.shape == (sample_size,))
+                and (rule.sel is not None or 4 * S.size <= sample_size)):
+            rules[id(family), id(generator)] = rule, S
+            if rule.sel is None:
+                key = None if kept is not None else id(generator)
+                depth[key] = max(depth[key], rule.n + 1 + S.size)
+
+    def rule_gap(rule: _FourierRule, S: np.ndarray, generator: FittedModel,
+                 z_noise: Dataset, y_noise: Dataset) -> np.ndarray:
+        kept = generator.kept
+        key = None if kept is not None else id(generator)
+        z, y = ((z_noise, y_noise) if kept is not None
+                else datasets(generator, z_noise, y_noise))
+        c_z, c_y = fourier_transform(z), fourier_transform(y)
+        if S.size:                  # the data's coefficients on the support
+            a_z, a_y = kept[S] + c_z[:, S], kept[S] + c_y[:, S]
+            _check_finite(a_z)                  # as ``from_noise`` checks
+            _check_finite(a_y)
+        shared = chunk(z_noise)
+        if ("rank", key) not in shared:
+            shared["rank", key] = [depth[key] and _greedy_order(c, depth[key])
+                                   for c in (c_z, c_y)]
+        d, k = buffer("base", len(c_z)), buffer("zero", len(c_z))
+        if "base" not in shared or shared["base"] != key:
+            np.subtract(c_z, c_y, out=d)        # the chunk's d, per key
+            shared["base"] = key
+        base = d[:, S]
+        if S.size:
+            d[:, S] = a_z - a_y
+        (P_z, v_z), (P_y, v_y) = (rule.select(c, r, kept, S) for c, r in
+                                  zip((c_z, c_y), shared["rank", key]))
+        rows = np.arange(len(c_z))[:, None]
+        k[rows, P_z] = v_z
+        k[rows, P_y] -= v_y
+        try:
+            return inner(d, k)
+        finally:                    # leave k zero and d the chunk's
+            k[rows, P_z] = k[rows, P_y] = 0.0
+            d[:, S] = base
+
     def gap_of(family, generator: FittedModel):
+        rule = rules.get((id(family), id(generator)))
+
         def gap(z_noise: Dataset, y_noise: Dataset) -> np.ndarray:
+            if rule is not None:
+                return rule_gap(*rule, generator, z_noise, y_noise)
             z, y = datasets(generator, z_noise, y_noise)
             fit_z = family.fit(z)
             fit_y = family.fit(y)

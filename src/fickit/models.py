@@ -4,6 +4,7 @@ greedy mode selection)."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -26,7 +27,10 @@ class ModelFamily:
     for which it returns one model holding each row. ``fit`` returns
     the model ``model_at`` gives at its estimate, from the family's one
     model constructor: a Fourier fit hands that constructor its kept
-    coefficients and builds its estimate only when it is read.
+    coefficients and builds its estimate only when it is read. The
+    sequential and greedy Fourier families' ``fit`` is the bound method
+    of a ``_FourierRule``, from which the Monte Carlo engine selects
+    their levels without fitting; any other ``fit`` is called.
     ``structured_data`` marks families whose observations are not
     exchangeable; resampling-style validation refuses them.
     ``fisher_at(params, sample_size)`` gives the Fisher matrix of the
@@ -138,11 +142,15 @@ def _gaussian_model(params: ParameterVector,
         x = getattr(noise, "values", noise)     # an array, or its Dataset
         n = x.shape[-1]
 
-        def values() -> np.ndarray:
-            return mean(n) + x if unit else mean(n) + sd * x
+        def values() -> np.ndarray:             # a fresh array
+            if unit:
+                return mean(n) + x
+            v, m = sd * x, mean(n)
+            whole = v.shape == np.broadcast_shapes(v.shape, m.shape)
+            return np.add(v, m, out=v if whole else None)
 
         if kept is None:
-            return Dataset(values())
+            return Dataset._own(values())
         _check_size(n, N)
         c = fourier_transform(noise)
         return Dataset._deferred(values, _coefficients,
@@ -360,118 +368,145 @@ def inverse_fourier_transform(coeffs: np.ndarray) -> np.ndarray:
     return np.fft.irfft(r, N)
 
 
-def _sequential_positions(n: int, N: int) -> np.ndarray:
-    pos = [0]
-    for k in range(1, n + 1):
-        pos.extend([k, N - k])
-    return np.array(pos, dtype=int)
+@functools.cache
+def _tie_order(N: int) -> tuple:
+    """Positions in greedy selection's tie-break order (smaller absolute
+    mode index first, then the positive mode: 0, 1, N - 1, 2, ...), and
+    each position's place in it."""
+    idx = fourier_indices(N)
+    order = np.lexsort((idx < 0, np.abs(idx)))
+    rank = np.empty(N, dtype=int)
+    rank[order] = np.arange(N)
+    order.setflags(write=False)
+    return order, rank
 
 
-def sequential_fourier_family(n: int, N: int) -> ModelFamily:
-    """Keep the constant mode plus the n lowest frequencies (both the
-    cosine and sine coefficient of each); zero everything else."""
-    if N % 2 or N < 2:
-        raise ValueError("N must be even and >= 2")
-    if not 0 <= n <= N // 2 - 1:
-        raise ValueError("nesting index out of range")
-    sel = _sequential_positions(n, N)
-    keep = np.zeros(N, dtype=bool)
-    keep[sel] = True
-
-    def fit(data: Dataset) -> FittedModel:
-        c = fourier_transform(data)
-        kept = np.zeros(c.shape)
-        np.copyto(kept, c, where=keep)
-        return _gaussian_model(
-            ParameterVector._deferred(lambda: (c[..., sel], None)), kept=kept)
-
-    def model_at(params: ParameterVector) -> FittedModel:
-        if params.dimension != sel.size:
-            raise ValueError("parameter dimension mismatch")
-        kept = np.zeros(params.coordinates.shape[:-1] + (N,))
-        kept[..., sel] = params.coordinates
-        return _gaussian_model(params, kept=kept)
-
-    def fisher_at(params: ParameterVector, sample_size: int) -> FisherMatrix:
-        # Orthonormal coefficients of unit-variance data: unit Fisher.
-        return FisherMatrix(np.eye(sel.size))
-
-    return ModelFamily(f"sequential_fourier_n{n}_N{N}", fit,
-                       n_params=2 * n + 1, structured_data=True,
-                       model_at=model_at, fisher_at=fisher_at)
+def _greedy_order(coeffs: np.ndarray, depth: int) -> np.ndarray:
+    """The first ``depth`` positions greedy selection picks, in order,
+    for one coefficient vector or each row of a block: the constant
+    mode, then the largest magnitudes in the tie-break order. Exact at
+    any depth: a partition finds each row's ``depth`` largest, and only
+    a row tied at the cut (or holding NaN) is sorted whole."""
+    c = np.asarray(coeffs, dtype=float)
+    N = c.shape[-1]
+    depth = min(depth, N)
+    order, rank = _tie_order(N)
+    mags = np.abs(c.reshape(-1, N))
+    mags[:, 0] = np.inf                         # the constant mode first
+    keep = mags >= np.partition(mags, N - depth, axis=1)[:, N - depth, None]
+    flat = np.flatnonzero(keep)
+    odd = np.flatnonzero(np.bincount(flat // N, minlength=len(mags)) != depth)
+    if odd.size:
+        keep[odd] = False
+        keep[odd[:, None], order[np.argsort(-mags[odd][:, order],
+                                             kind="stable")[:, :depth]]] = True
+        flat = np.flatnonzero(keep)
+    pos = (flat % N).reshape(-1, depth)
+    m = np.take_along_axis(mags, pos, 1)
+    ranked = np.take_along_axis(pos, np.lexsort((rank[pos], -m)), 1)
+    return ranked.reshape(c.shape[:-1] + (depth,))
 
 
 def greedy_mask(coeffs: np.ndarray, n: int) -> np.ndarray:
     """Boolean mask of the positions greedy selection keeps, for one
     coefficient vector or for each row of a block: the constant mode
-    plus the n largest-magnitude remaining coefficients.
-
-    With the constant mode's magnitude set to infinity, a partition
-    finds the (n + 1)-th largest, and every magnitude at least as large
-    is kept. Ties at it beyond the places left fill them in the
-    tie-break order (smaller absolute mode index first, positive
-    first). Exact, and linear per row.
-    """
+    plus the n largest-magnitude remaining coefficients, the first
+    n + 1 positions of ``_greedy_order``."""
     c = np.asarray(coeffs, dtype=float)
-    N = c.shape[-1]
-    if n == 0:                                  # the constant mode only
-        return np.broadcast_to(np.arange(N) == 0, c.shape).copy()
-    mags = np.abs(c.reshape(-1, N))
-    mags[:, 0] = np.inf
-    nth = np.partition(mags, N - 1 - n, axis=1)[:, N - 1 - n, None]
-    keep = mags >= nth
-    # A row without NaN keeps at least n + 1 positions, so only a
-    # larger total leaves ties to break.
-    if np.count_nonzero(keep) > keep.shape[0] * (n + 1):
-        surplus = np.flatnonzero(keep.sum(axis=1) > n + 1)
-        idx = fourier_indices(N)
-        order = np.lexsort((idx < 0, np.abs(idx)))
-        m = mags[surplus][:, order]
-        above = m > nth[surplus]
-        tied = m == nth[surplus]
-        room = n + 1 - above.sum(axis=1, keepdims=True)
-        keep[surplus[:, None], order] = above | (
-            tied & (np.cumsum(tied, axis=1) <= room))
-    return keep.reshape(c.shape)
+    mask = np.zeros(c.shape, dtype=bool)
+    np.put_along_axis(mask, _greedy_order(c, n + 1), True, -1)
+    return mask
+
+
+class _FourierRule:
+    """A Fourier family at level n: keep the constant mode plus the n
+    lowest frequencies (``sequential``: the fixed positions ``sel``) or
+    the n largest-magnitude remaining coefficients (greedy, ``sel``
+    None); zero the rest. Its bound ``fit`` is the family's, by which
+    the Monte Carlo engine knows the family and selects its levels from
+    shared rankings."""
+
+    def __init__(self, n: int, N: int, sequential: bool):
+        if N % 2 or N < 2:
+            raise ValueError("N must be even and >= 2")
+        if not 0 <= n <= (N // 2 - 1 if sequential else N - 1):
+            raise ValueError("nesting index out of range")
+        self.n, self.N, self.dimension = n, N, n + 1 + n * sequential
+        self.sel = _tie_order(N)[0][:2 * n + 1] if sequential else None
+        self.keep = np.isin(np.arange(N), self.sel) if sequential else None
+
+    def family(self, family_id: str) -> ModelFamily:
+        # Orthonormal coefficients of unit-variance data: unit Fisher.
+        return ModelFamily(family_id, self.fit, self.dimension,
+                           structured_data=True, model_at=self.model_at,
+                           fisher_at=lambda params, size: FisherMatrix(
+                               np.eye(self.dimension)))
+
+    def fit(self, data: Dataset) -> FittedModel:
+        c = fourier_transform(data)
+        n, N, sel = self.n, self.N, self.sel
+        mask = greedy_mask(c, n) if sel is None else self.keep
+        kept = np.zeros(c.shape)
+        np.copyto(kept, c, where=mask)
+
+        def estimate() -> tuple:
+            if sel is not None:
+                return c[..., sel], None
+            shape = c.shape[:-1] + (n + 1,)
+            positions = (np.flatnonzero(mask) % N).reshape(shape)
+            return c[mask].reshape(shape), fourier_indices(N)[positions]
+
+        return _gaussian_model(ParameterVector._deferred(estimate), kept=kept)
+
+    def model_at(self, params: ParameterVector) -> FittedModel:
+        coords, sel = params.coordinates, self.sel
+        if sel is not None and params.dimension != sel.size:
+            raise ValueError("parameter dimension mismatch")
+        if sel is None and (params.tags is None
+                            or params.tags.shape != coords.shape):
+            raise ValueError("greedy parameters need one tag per coordinate")
+        kept = np.zeros(coords.shape[:-1] + (self.N,))
+        positions = params.tags % self.N if sel is None else sel
+        np.put_along_axis(kept, np.broadcast_to(positions, coords.shape),
+                          coords, -1)
+        return _gaussian_model(params, kept=kept)
+
+    def select(self, c: np.ndarray, ranked: Optional[np.ndarray],
+               kept: Optional[np.ndarray], support: np.ndarray) -> tuple:
+        """The positions this fit keeps, and their values, in each row
+        of data with coefficients ``kept + c`` (``kept`` zero off
+        ``support``; None for ``c`` alone). Greedy reads ``ranked``, c's
+        ``_greedy_order`` at depth n + 1 + |support| or more: off the
+        support the data's coefficients are c's, so its picks lie there.
+        """
+        n, s = self.n, support.size
+        rows = np.arange(len(c))[:, None]
+        P = self.sel if self.sel is not None else np.concatenate(
+            (np.broadcast_to(support, (len(c), s)), ranked[:, :s + n + 1]), 1)
+        v = c[rows, P]
+        if kept is not None:
+            k = kept[P]
+            v += k                              # kept + c, as sampled
+        if self.sel is None and s:
+            key = -np.abs(v)
+            # The constant mode first: from the support, or c's first pick.
+            key[:, 0 if support[0] == 0 else s] = -np.inf
+            key[:, s:][k[:, s:] != 0.0] = np.inf    # the support, once
+            pick = np.lexsort((_tie_order(self.N)[1][P], key))[:, :n + 1]
+            P, v = P[rows, pick], v[rows, pick]
+        return P, v
+
+
+def sequential_fourier_family(n: int, N: int) -> ModelFamily:
+    """Keep the constant mode plus the n lowest frequencies (both the
+    cosine and sine coefficient of each); zero everything else."""
+    return _FourierRule(n, N, True).family(f"sequential_fourier_n{n}_N{N}")
 
 
 def greedy_fourier_family(n: int, N: int) -> ModelFamily:
     """Keep the constant mode plus the n largest-magnitude coefficients,
     re-running the full selection on every dataset it is fit to."""
-    if N % 2 or N < 2:
-        raise ValueError("N must be even and >= 2")
-    if not 0 <= n <= N - 1:
-        raise ValueError("nesting index out of range")
-    idx = fourier_indices(N)
-
-    def fit(data: Dataset) -> FittedModel:
-        c = fourier_transform(data)
-        mask = greedy_mask(c, n)
-        kept = np.zeros(c.shape)
-        np.copyto(kept, c, where=mask)
-
-        def estimate() -> tuple:
-            shape = c.shape[:-1] + (n + 1,)
-            positions = (np.flatnonzero(mask) % N).reshape(shape)
-            return c[mask].reshape(shape), idx[positions]
-
-        return _gaussian_model(ParameterVector._deferred(estimate), kept=kept)
-
-    def model_at(params: ParameterVector) -> FittedModel:
-        coords = params.coordinates
-        if params.tags is None or params.tags.shape != coords.shape:
-            raise ValueError("greedy parameters need one tag per coordinate")
-        kept = np.zeros(coords.shape[:-1] + (N,))
-        np.put_along_axis(kept, params.tags % N, coords, -1)
-        return _gaussian_model(params, kept=kept)
-
-    def fisher_at(params: ParameterVector, sample_size: int) -> FisherMatrix:
-        # Orthonormal coefficients of unit-variance data: unit Fisher.
-        return FisherMatrix(np.eye(n + 1))
-
-    return ModelFamily(f"greedy_fourier_n{n}_N{N}", fit,
-                       n_params=n + 1, structured_data=True,
-                       model_at=model_at, fisher_at=fisher_at)
+    return _FourierRule(n, N, False).family(f"greedy_fourier_n{n}_N{N}")
 
 
 def greedy_piecewise_complexity(n: int, N: int,
@@ -491,7 +526,7 @@ def greedy_piecewise_complexity(n: int, N: int,
     c = np.asarray(generator_coefficients, dtype=float)
     if c.size != N:
         raise ValueError("need the full coefficient vector")
-    sel = np.flatnonzero(greedy_mask(c, n))[1:]
+    sel = np.sort(_greedy_order(c, n + 1)[1:])
     threshold = 2.0 * math.log(N)
     total = 1.0                                   # constant mode, regular
     for p in sel:

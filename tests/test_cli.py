@@ -285,6 +285,25 @@ class TestSweep:
             assert row[-1] == f"replicates 0..29 (seed {seed}) failed: " \
                 "injected"
 
+    def test_rule_fits_write_what_wrapped_fits_write(self, tmp_path,
+                                                     monkeypatch):
+        # Every level's fit wrapped takes the engine's general path (its
+        # own data, fits and selection): sweep.csv is byte-identical.
+        config = ExperimentConfig(experiment="neutrino_sweep",
+                                  sample_size=100, replicates=200,
+                                  out_dir=str(tmp_path / "rule"))
+        rule = cmd_sweep(config)[0].read_bytes()
+        family_of = cli._family
+
+        def wrapped(algorithm, n, N):
+            family = family_of(algorithm, n, N)
+            fit = family.fit
+            return dataclasses.replace(family, fit=lambda data: fit(data))
+
+        monkeypatch.setattr(cli, "_family", wrapped)
+        config = dataclasses.replace(config, out_dir=str(tmp_path / "wrap"))
+        assert cmd_sweep(config)[0].read_bytes() == rule
+
     @pytest.mark.parametrize("algorithm", ["sequential", "greedy"])
     def test_levels_transform_each_noise_block_once(self, monkeypatch,
                                                    algorithm):

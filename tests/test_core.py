@@ -89,6 +89,23 @@ class TestDataset:
         with pytest.raises(ValueError, match="row 1: Dataset values"):
             d.values
 
+    def test_own_keeps_a_fresh_array_and_checks_it(self):
+        fresh = np.arange(6.0).reshape(2, 3)
+        d = Dataset._own(fresh)
+        assert d.values is fresh and not fresh.flags.writeable
+        fresh = np.ones((2, 3))
+        fresh[1, 0] = np.inf
+        with pytest.raises(ValueError, match="row 1: Dataset values"):
+            Dataset._own(fresh)
+        with pytest.raises(ValueError, match="non-empty"):
+            Dataset._own(np.ones((2, 2, 2)))
+
+    def test_a_callers_array_is_still_copied(self):
+        mine = np.arange(3.0)
+        d = Dataset(mine)
+        assert not np.shares_memory(d.values, mine)
+        assert mine.flags.writeable
+
 
 class TestParameterVector:
     def test_dimension_counts_continuous_only(self):

@@ -9,11 +9,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fickit.core import (Dataset, DensityError, FickitError, FitError,
-                         ParameterVector, StructuredDataError,
+from fickit.core import (BLOCK_BYTES, Dataset, DensityError, FickitError,
+                         FitError, ParameterVector, StructuredDataError,
                          replicate_rng, shannon_information, unwrap)
-from fickit.criteria import (aic, aicc_exponential, aicc_linear_regression,
-                             bic, bootstrap_complexity, fic, fic_complexity,
+from fickit.criteria import (_complexity_replicates, aic, aicc_exponential,
+                             aicc_linear_regression, bic,
+                             bootstrap_complexity, fic, fic_complexity,
                              fic_complexity_gradient, fic_variance_estimate,
                              loocv)
 from fickit.models import (exponential_family, exponential_model,
@@ -159,6 +160,144 @@ class TestCovarianceGap:
         assert str(failed.value).startswith(
             "replicate 3 (seed 114) failed: row 3: non-finite information")
         assert scorings == []
+
+    def test_overflowing_coefficients_name_their_replicate_greedy(
+            self, scorings):
+        # The greedy twin: the selection ranks non-finite magnitudes,
+        # and the inner product fails on the same row, as the same fit
+        # wrapped fails through its own data.
+        N = 8
+        means = np.zeros((10, 1))
+        means[3] = 1e308
+        generator = gaussian_mean_model(means)
+        family = greedy_fourier_family(1, N)
+        with np.errstate(over="ignore", invalid="ignore"):
+            [fast] = _complexity_replicates([(family, generator)], N, 10, 114)
+            [slow] = _complexity_replicates([(_wrapped(family), generator)],
+                                            N, 10, 114)
+        assert type(fast) is type(slow) is DensityError
+        assert str(fast) == str(slow)
+        assert str(fast).startswith(
+            "replicate 3 (seed 114) failed: row 3: non-finite information")
+        assert scorings == []
+
+
+def _wrapped(family):
+    """The family with its fit wrapped: the engine then samples, fits
+    and scores it as any family."""
+    fit = family.fit
+    return dataclasses.replace(family, fit=lambda data: fit(data))
+
+
+class TestRuleFits:
+    """Sequential and greedy Fourier fits select every level from one
+    ranking per noise block, and give what the same fits wrapped give
+    through their own data and fits, bit for bit."""
+
+    @staticmethod
+    def _generators(N: int) -> dict:
+        truth = neutrino_truth(N)
+        data = truth.sampler(N, replicate_rng(120, 0))
+        rng = np.random.default_rng([121])
+
+        def coefficient_model(n):
+            # 2n + 1 unit-size coefficients: where the noise's largest
+            # fall on the support they often shrink, and a greedy level
+            # then picks noise ranked below n + 1.
+            return sequential_fourier_family(n, N).model_at(
+                ParameterVector(rng.standard_normal(2 * n + 1)))
+
+        return {"truth": lambda f: truth,
+                "level fit": lambda f: f.fit(data),
+                "unshared data-space": lambda f: neutrino_truth(N),
+                "quarter support": lambda f, g=coefficient_model(
+                    N // 8 - 1): g,
+                "dense": lambda f, g=coefficient_model(N // 2 - 1): g}
+
+    @pytest.mark.parametrize("make", [sequential_fourier_family,
+                                      greedy_fourier_family])
+    @pytest.mark.parametrize("N, R", [(100, 200), (1000, 40)])
+    def test_match_wrapped_fits(self, monkeypatch, make, N, R):
+        # R spans two chunks at both sizes (163 + 37 and 16 + 16 + 8).
+        from fickit import models
+        families = [make(n, N) for n in range(9)]
+        pairs = [(f, generator(f)) for generator in
+                 self._generators(N).values() for f in families]
+        # Then the level fits again, the largest support first, so each
+        # pair's support differs from the one patched before it.
+        pairs += [(f, g) for f, (_, g) in zip(families, pairs[17:8:-1])]
+        fits = []
+        build = models._gaussian_model
+
+        def counted(*args, **kwargs):
+            fits.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(models, "_gaussian_model", counted)
+        for seed in (212, 1017):
+            fast = unwrap(_complexity_replicates(pairs, N, R, seed))
+            ran = len(fits)
+            slow = unwrap(_complexity_replicates(
+                [(_wrapped(f), g) for f, g in pairs], N, R, seed))
+            for a, b in zip(fast, slow):
+                assert np.array_equal(a, b)
+            # Only the greedy levels under the dense generator are fit.
+            dense = 0 if make is sequential_fourier_family else 9
+            assert ran == 2 * dense * math.ceil(R / (BLOCK_BYTES // (8 * N)))
+            fits.clear()
+
+    @pytest.mark.parametrize("make", [sequential_fourier_family,
+                                      greedy_fourier_family])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_support_fails_alike(self, make, bad):
+        # A generator's data coefficients are kept + c(noise): a
+        # non-finite kept coefficient fails every row as its
+        # ``from_noise`` would, with the same error on both paths.
+        N, R = 100, 200
+        coords = np.ones(5)
+        coords[3] = bad
+        generator = sequential_fourier_family(2, N).model_at(
+            ParameterVector(coords))
+        pairs = [(make(n, N), generator) for n in (0, 3)]
+        fast = _complexity_replicates(pairs, N, R, 122)
+        slow = _complexity_replicates([(_wrapped(f), g) for f, g in pairs],
+                                      N, R, 122)
+        for a, b in zip(fast, slow):
+            assert type(a) is type(b) is ValueError
+            assert str(a) == str(b) == ("replicate 0 (seed 122) failed: "
+                                        "row 0: Dataset values must all be "
+                                        "finite")
+
+    @pytest.mark.parametrize("algorithm, which, bound", [
+        ("sequential", "fic", 10.78), ("sequential", "true", 11.83),
+        ("greedy", "fic", 12.45), ("greedy", "true", 12.45)])
+    def test_sweep_task_memory_is_flat(self, algorithm, which, bound):
+        # A nine-level sweep task at N=1000 peaks no higher than when
+        # every level fit its own data (``bound``: that engine's
+        # tracemalloc peak at R=1000, in BLOCK_BYTES), and grows with R
+        # by its outputs and stream words only: nine values and 32
+        # bytes of seed words per replicate.
+        import tracemalloc
+        from fickit import cli
+        N = 1000
+        config = cli.ExperimentConfig(experiment="neutrino_sweep",
+                                      sample_size=N)
+        data = cli._neutrino_dataset(config)
+        families = [cli._family(algorithm, n, N) for n in range(9)]
+        truth = neutrino_truth(N)
+        pairs = [(f, truth if which == "true" else f.fit(data))
+                 for f in families]
+        _complexity_replicates(pairs, N, 20, 123)      # caches and imports
+        peaks = []
+        for R in (100, 1000):
+            tracemalloc.start()
+            try:
+                unwrap(_complexity_replicates(pairs, N, R, 123))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= bound * BLOCK_BYTES
+        assert peaks[1] - peaks[0] <= (9 * 8 + 32) * 900 + 4096
 
 
 def _gradient_pair(family, theta, i, step):

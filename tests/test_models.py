@@ -16,7 +16,8 @@ from hypothesis.extra.numpy import arrays
 import fickit
 from fickit.core import (Dataset, FitError, ParameterVector, draw_rows,
                          replicate_rng, shannon_information)
-from fickit.models import (_coefficients, exponential_family,
+from fickit.models import (_coefficients, _fixed_mean, _gaussian_model,
+                           _greedy_order, exponential_family,
                            exponential_model, fourier_indices,
                            fourier_transform, gaussian_mean_family,
                            gaussian_mean_model, greedy_fourier_family,
@@ -241,6 +242,20 @@ class TestGreedyMask:
             expected[_greedy_selection(row, n)] = True
             assert np.array_equal(got, expected)
         assert np.array_equal(greedy_mask(c[0], n), mask[0])
+
+    def test_order_matches_greedy_selection_at_every_depth(self):
+        # Small integers: nearly every row ties at nearly every depth.
+        rng = np.random.default_rng([49])
+        for N in (2, 8, 30):
+            c = rng.integers(-3, 4, (12, N)).astype(float)
+            for depth in range(1, N + 1):
+                order = _greedy_order(c, depth)
+                assert order.shape == (12, depth)
+                for row, got in zip(c, order):
+                    assert np.array_equal(got,
+                                          _greedy_selection(row, depth - 1))
+            assert np.array_equal(_greedy_order(c[3], N), order[3])
+        assert _greedy_order(c, N + 5).shape == (12, N)
 
     def test_tie_break_order(self):
         c = np.zeros(8)
@@ -600,6 +615,29 @@ class TestGaussianModels:
         noise = draw_rows(replicate_rng(70, 0), model.noise, N)
         expected = model.mean(N) + math.sqrt(variance) * noise
         assert np.array_equal(model.from_noise(noise).values, expected)
+
+    @pytest.mark.parametrize("variance", [1.0, 2.5, [1.0, 0.5, 3.0]])
+    @pytest.mark.parametrize("noise_rows", [None, 3])
+    def test_data_are_fresh_and_exact(self, variance, noise_rows):
+        # from_noise hands its new array to the Dataset, which keeps it:
+        # it shares no memory with the noise or the mean, and its values
+        # are mean + sd * noise bit for bit.
+        N = 6
+        rng = np.random.default_rng([71])
+        mean = rng.standard_normal((3, N))
+        model = _gaussian_model(ParameterVector(mean), _fixed_mean(mean),
+                                variance)
+        shape = (N,) if noise_rows is None else (noise_rows, N)
+        for noise in (rng.standard_normal(shape),
+                      Dataset(rng.standard_normal(shape))):
+            x = getattr(noise, "values", noise)
+            data = model.from_noise(noise)
+            sd = np.sqrt(np.asarray(variance))[..., None]
+            expected = mean + x if variance == 1.0 else mean + sd * x
+            assert np.array_equal(data.values, expected)
+            assert not data.values.flags.writeable
+            assert not np.shares_memory(data.values, x)
+            assert not np.shares_memory(data.values, mean)
 
 
 class TestGreedyFamily:
