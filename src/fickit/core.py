@@ -137,14 +137,6 @@ def derive_seed(seed: int, *tags: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _check_finite(values: np.ndarray) -> None:
-    """Raise the error of a Dataset whose values (one row, or a block)
-    are not all finite, naming the first such row of a block."""
-    if not np.isfinite(values).all():
-        raise row_error(ValueError, ~np.isfinite(values).all(axis=-1),
-                        "Dataset values must all be finite")
-
-
 @dataclass(frozen=True)
 class Dataset:
     """An ordered sample of real-valued observations, or a block of
@@ -159,25 +151,25 @@ class Dataset:
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
-    def __post_init__(self):
-        self._keep(np.array(self.values, dtype=float))
-
-    def _keep(self, vals: np.ndarray) -> None:
+    def __post_init__(self, copy: bool = True):
+        vals = np.array(self.values, dtype=float, copy=copy or None)
         if vals.ndim not in (1, 2) or 0 in vals.shape:
             raise ValueError("Dataset requires a non-empty 1-D sequence "
                              "or 2-D block")
-        _check_finite(vals)
+        if not np.isfinite(vals).all():
+            raise row_error(ValueError, ~np.isfinite(vals).all(axis=-1),
+                            "Dataset values must all be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @classmethod
     def _own(cls, values: np.ndarray) -> "Dataset":
-        """A Dataset holding ``values``, a float array its caller has
-        just made and hands over: checked and made read-only like any
-        Dataset's values, but not copied."""
+        """A Dataset of ``values``, a float array its caller has just
+        made: checked and made read-only as any, but not copied."""
         data = object.__new__(cls)
         object.__setattr__(data, "_memo", {})
-        data._keep(np.asarray(values, dtype=float))
+        object.__setattr__(data, "values", values)
+        data.__post_init__(copy=False)
         return data
 
     @classmethod
@@ -185,9 +177,10 @@ class Dataset:
                   known: np.ndarray) -> "Dataset":
         """A Dataset whose ``memo(transform)`` is ``known`` (shaped as
         the values, and checked for finite rows as they are) from the
-        start, and whose values ``build()`` makes, as a fresh array it
-        hands over, only when read."""
-        _check_finite(known)
+        start, and whose fresh values ``build()`` makes only when read."""
+        if not np.isfinite(known).all():
+            raise row_error(ValueError, ~np.isfinite(known).all(axis=-1),
+                            "Dataset values must all be finite")
         known.setflags(write=False)
         data = object.__new__(cls)
         object.__setattr__(data, "_memo", {transform: known})

@@ -8,7 +8,6 @@ and leave-one-out cross validation.
 from __future__ import annotations
 
 import math
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -18,7 +17,7 @@ import numpy as np
 from .analytic import FisherMatrix
 from .core import (BLOCK_BYTES, Dataset, DensityError, FickitError,
                    FittedModel, MonteCarloEstimate, ParameterVector,
-                   StructuredDataError, _check_finite, _chunk_rows, draw_rows,
+                   StructuredDataError, _chunk_rows, draw_rows,
                    replicate_values, row_error, shannon_information, unwrap)
 from .models import _FourierRule, _greedy_order, fourier_transform
 
@@ -104,13 +103,10 @@ def _complexity_replicates(pairs: Sequence, sample_size: int,
     by ``shannon_information``.
 
     A sequential or greedy Fourier family (a ``models._FourierRule``'s
-    bound ``fit``) is not fit: the same selections come from rankings
-    shared per chunk. A generator with ``kept`` samples coefficients
-    kept + c(noise), which are the noise's off kept's support S, so
-    each greedy level merges S into the noise's ranking. Each pair
-    scatters kept_z - kept_y into a zero buffer and patches the chunk's
-    c(z) - c(y) at S, then restores both. A greedy pair whose generator
-    keeps more than N/4 positions is fit as any.
+    bound ``fit``) is not fit: its levels select from rankings shared
+    per chunk, and each pair patches the chunk's c(z) - c(y) and a zero
+    kept_z - kept_y in place for the same inner product, then restores
+    them.
     """
     laws = {generator.noise for _, generator in pairs}
     if len(laws) != 1:
@@ -122,36 +118,27 @@ def _complexity_replicates(pairs: Sequence, sample_size: int,
         return Dataset._own(draw_rows(rngs, law, n))    # shared by every pair
 
     repeats = Counter(id(generator) for _, generator in pairs)
-    held_noise, held = None, {}     # a chunk's Z noise (weakly), its shares
+    held_noise, held = None, {}     # a chunk's Z noise, its shares
 
-    def chunk(z_noise: Dataset) -> dict:
+    def shares(z_noise: Dataset) -> dict:
         nonlocal held_noise, held
-        if held_noise is None or held_noise() is not z_noise:   # a new chunk
-            held_noise, held = weakref.ref(z_noise), {}
+        if held_noise is not z_noise:           # a new chunk
+            held_noise, held = z_noise, {}
         return held
 
     def datasets(generator: FittedModel, z_noise, y_noise) -> tuple:
         key = id(generator)
         if repeats[key] < 2:
             return generator.from_noise(z_noise), generator.from_noise(y_noise)
-        shared = chunk(z_noise)
+        shared = shares(z_noise)
         if key not in shared:
             shared[key] = (generator.from_noise(z_noise),
                            generator.from_noise(y_noise))
         return shared[key]
 
-    work = {}                       # (rows x N) buffers, made on first use
+    work = []                       # the gap's two (rows x N) buffers
 
-    def buffer(name: str, rows: int) -> np.ndarray:
-        # Each within BLOCK_BYTES: one twice that size would be a fresh
-        # memory map, faulted in on every call.
-        if name not in work:
-            work[name] = np.zeros((min(_chunk_rows(sample_size, BLOCK_BYTES),
-                                       replicates), sample_size))
-        return work[name][:rows]
-
-    def inner(d: np.ndarray, k: np.ndarray) -> np.ndarray:
-        g = 0.5 * np.einsum("...i,...i->...", d, k)
+    def checked(g: np.ndarray) -> np.ndarray:
         bad = ~np.isfinite(g)
         if bad.any():
             raise row_error(DensityError, bad, "non-finite information: "
@@ -161,59 +148,67 @@ def _complexity_replicates(pairs: Sequence, sample_size: int,
     def covariance_gap(z: Dataset, y: Dataset, fit_z: FittedModel,
                        fit_y: FittedModel) -> np.ndarray:
         c_z = fourier_transform(z)
-        d, k = buffer("d", len(c_z)), buffer("k", len(c_z))
+        if not work:
+            # Two arrays within BLOCK_BYTES each: one twice that size
+            # would be a fresh memory map, faulted in on every call.
+            rows = min(_chunk_rows(sample_size, BLOCK_BYTES), replicates)
+            work.extend(np.empty((rows, sample_size)) for _ in range(2))
+        d, k = (w[:len(c_z)] for w in work)
         np.subtract(c_z, fourier_transform(y), out=d)
         np.subtract(fit_z.kept, fit_y.kept, out=k)
-        return inner(d, k)
+        return checked(0.5 * np.einsum("...i,...i->...", d, k))
 
-    # Rule fits select from rankings shared per chunk: of the noise for
-    # generators with ``kept`` (key None), else of the generator's data,
-    # to the depth the deepest greedy level needs. A greedy level under
-    # a generator that keeps over N/4 positions would sort nearly all.
-    rules, depth = {}, Counter()
+    # A greedy rule pair ranks by key: the noise's coefficients under a
+    # generator with ``kept`` (key None; off its support S the data's
+    # are the noise's), else the generator's data. Fitting is faster
+    # for a pair alone under its key, or once S holds over N/64 places.
+    rules, levels = {}, {}
     for family, generator in pairs:
         rule, kept = getattr(family.fit, "__self__", None), generator.kept
         S = np.flatnonzero(np.zeros(0) if kept is None else kept)
+        key = None if kept is not None else id(generator)
         if (isinstance(rule, _FourierRule) and rule.N == sample_size
                 and (kept is None or kept.shape == (sample_size,))
-                and (rule.sel is not None or 4 * S.size <= sample_size)):
-            rules[id(family), id(generator)] = rule, S
+                and (rule.sel is not None or 64 * S.size <= sample_size)):
+            rules[id(family), id(generator)] = rule, S, key
             if rule.sel is None:
-                key = None if kept is not None else id(generator)
-                depth[key] = max(depth[key], rule.n + 1 + S.size)
+                levels.setdefault(key, []).append(rule.n + 1 + S.size)
+    depth = {key: max(d) for key, d in levels.items() if len(d) > 1}
+    rules = {pair: r for pair, r in rules.items()
+             if r[0].sel is not None or r[2] in depth}
+    work_of = {}                    # per key, two buffers as ``work``
 
-    def rule_gap(rule: _FourierRule, S: np.ndarray, generator: FittedModel,
+    def rule_gap(rule: _FourierRule, S: np.ndarray, key, generator,
                  z_noise: Dataset, y_noise: Dataset) -> np.ndarray:
-        kept = generator.kept
-        key = None if kept is not None else id(generator)
+        shared, kept = shares(z_noise), generator.kept  # a new chunk first
         z, y = ((z_noise, y_noise) if kept is not None
                 else datasets(generator, z_noise, y_noise))
         c_z, c_y = fourier_transform(z), fourier_transform(y)
+        if key not in work_of:              # the key's d and a zero k
+            rows = min(_chunk_rows(sample_size, BLOCK_BYTES), replicates)
+            work_of[key] = [np.zeros((rows, sample_size)) for _ in range(2)]
+        d, k = (w[:len(c_z)] for w in work_of[key])
+        if ("rule", key) not in shared:     # the chunk's d and ranks
+            np.subtract(c_z, c_y, out=d)
+            deep = depth.get(key)
+            shared["rule", key] = [deep and _greedy_order(c, deep)
+                                   for c in (c_z, c_y)]
+        r_z, r_y = shared["rule", key]
+        base = d[:, S]
         if S.size:                  # the data's coefficients on the support
             a_z, a_y = kept[S] + c_z[:, S], kept[S] + c_y[:, S]
-            _check_finite(a_z)                  # as ``from_noise`` checks
-            _check_finite(a_y)
-        shared = chunk(z_noise)
-        if ("rank", key) not in shared:
-            shared["rank", key] = [depth[key] and _greedy_order(c, depth[key])
-                                   for c in (c_z, c_y)]
-        d, k = buffer("base", len(c_z)), buffer("zero", len(c_z))
-        if "base" not in shared or shared["base"] != key:
-            np.subtract(c_z, c_y, out=d)        # the chunk's d, per key
-            shared["base"] = key
-        base = d[:, S]
-        if S.size:
+            Dataset._own(a_z), Dataset._own(a_y)   # checked as sampled
             d[:, S] = a_z - a_y
-        (P_z, v_z), (P_y, v_y) = (rule.select(c, r, kept, S) for c, r in
-                                  zip((c_z, c_y), shared["rank", key]))
-        rows = np.arange(len(c_z))[:, None]
+        (P_z, v_z), (P_y, v_y) = (rule.select(c_z, r_z, kept, S),
+                                  rule.select(c_y, r_y, kept, S))
+        # One column index for all rows (sequential) scatters faster.
+        rows = slice(None) if P_z.ndim == 1 else np.arange(len(c_z))[:, None]
         k[rows, P_z] = v_z
         k[rows, P_y] -= v_y
-        try:
-            return inner(d, k)
-        finally:                    # leave k zero and d the chunk's
-            k[rows, P_z] = k[rows, P_y] = 0.0
-            d[:, S] = base
+        g = 0.5 * np.einsum("...i,...i->...", d, k)
+        k[rows, P_z] = k[rows, P_y] = 0.0   # leave k zero and d the chunk's
+        d[:, S] = base
+        return checked(g)
 
     def gap_of(family, generator: FittedModel):
         rule = rules.get((id(family), id(generator)))

@@ -28,9 +28,7 @@ class ModelFamily:
     the model ``model_at`` gives at its estimate, from the family's one
     model constructor: a Fourier fit hands that constructor its kept
     coefficients and builds its estimate only when it is read. The
-    sequential and greedy Fourier families' ``fit`` is the bound method
-    of a ``_FourierRule``, from which the Monte Carlo engine selects
-    their levels without fitting; any other ``fit`` is called.
+    Monte Carlo engine selects without calling a ``_FourierRule.fit``.
     ``structured_data`` marks families whose observations are not
     exchangeable; resampling-style validation refuses them.
     ``fisher_at(params, sample_size)`` gives the Fisher matrix of the
@@ -374,57 +372,65 @@ def _tie_order(N: int) -> tuple:
     mode index first, then the positive mode: 0, 1, N - 1, 2, ...), and
     each position's place in it."""
     idx = fourier_indices(N)
-    order = np.lexsort((idx < 0, np.abs(idx)))
-    rank = np.empty(N, dtype=int)
-    rank[order] = np.arange(N)
-    order.setflags(write=False)
+    rank = 2 * np.abs(idx) - (idx > 0)
+    # A scatter, not np.argsort: that maps about 0.3 MB of sort code
+    # into each process that builds a family, a sweep's parent too.
+    order = np.empty(N, dtype=int)
+    order[rank] = np.arange(N)
+    for a in (order, rank):
+        a.setflags(write=False)
     return order, rank
-
-
-def _greedy_order(coeffs: np.ndarray, depth: int) -> np.ndarray:
-    """The first ``depth`` positions greedy selection picks, in order,
-    for one coefficient vector or each row of a block: the constant
-    mode, then the largest magnitudes in the tie-break order. Exact at
-    any depth: a partition finds each row's ``depth`` largest, and only
-    a row tied at the cut (or holding NaN) is sorted whole."""
-    c = np.asarray(coeffs, dtype=float)
-    N = c.shape[-1]
-    depth = min(depth, N)
-    order, rank = _tie_order(N)
-    mags = np.abs(c.reshape(-1, N))
-    mags[:, 0] = np.inf                         # the constant mode first
-    keep = mags >= np.partition(mags, N - depth, axis=1)[:, N - depth, None]
-    flat = np.flatnonzero(keep)
-    odd = np.flatnonzero(np.bincount(flat // N, minlength=len(mags)) != depth)
-    if odd.size:
-        keep[odd] = False
-        keep[odd[:, None], order[np.argsort(-mags[odd][:, order],
-                                             kind="stable")[:, :depth]]] = True
-        flat = np.flatnonzero(keep)
-    pos = (flat % N).reshape(-1, depth)
-    m = np.take_along_axis(mags, pos, 1)
-    ranked = np.take_along_axis(pos, np.lexsort((rank[pos], -m)), 1)
-    return ranked.reshape(c.shape[:-1] + (depth,))
 
 
 def greedy_mask(coeffs: np.ndarray, n: int) -> np.ndarray:
     """Boolean mask of the positions greedy selection keeps, for one
     coefficient vector or for each row of a block: the constant mode
-    plus the n largest-magnitude remaining coefficients, the first
-    n + 1 positions of ``_greedy_order``."""
+    plus the n largest-magnitude remaining coefficients.
+
+    With the constant mode's magnitude set to infinity, a partition
+    finds the (n + 1)-th largest, and every magnitude at least as large
+    is kept. A row that keeps another count (ties at the cut, or NaN)
+    is redone by a stable sort in the tie-break order (smaller absolute
+    mode index first, positive first). Exact, and linear per row.
+    """
     c = np.asarray(coeffs, dtype=float)
-    mask = np.zeros(c.shape, dtype=bool)
-    np.put_along_axis(mask, _greedy_order(c, n + 1), True, -1)
-    return mask
+    N = c.shape[-1]
+    if n == 0:                                  # the constant mode only
+        return np.broadcast_to(np.arange(N) == 0, c.shape).copy()
+    mags = np.abs(c.reshape(-1, N))
+    mags[:, 0] = np.inf
+    top = np.partition(mags, N - 1 - n, axis=1)[:, N - 1 - n:]
+    keep = mags >= top[:, :1]
+    # A NaN among the tops sums to NaN: the others are >= 0 or inf.
+    if np.count_nonzero(keep) != len(keep) * (n + 1) or math.isnan(top.sum()):
+        odd = np.flatnonzero(keep.sum(axis=1) != n + 1)
+        order = _tie_order(N)[0]
+        keep[odd] = False
+        keep[odd[:, None], order[np.argsort(-mags[odd][:, order],
+                                             kind="stable")[:, :n + 1]]] = True
+    return keep.reshape(c.shape)
+
+
+def _greedy_order(coeffs: np.ndarray, depth: int) -> np.ndarray:
+    """The first ``depth`` positions greedy selection picks, in order,
+    for one coefficient vector or each row of a block: ``greedy_mask``'s
+    positions, the constant mode first, then by magnitude and in the
+    tie-break order."""
+    c = np.asarray(coeffs, dtype=float)
+    N = c.shape[-1]
+    depth, rows = min(depth, N), c.reshape(-1, N)
+    pos = (np.flatnonzero(greedy_mask(rows, depth - 1)) % N).reshape(-1, depth)
+    m = np.abs(np.take_along_axis(rows, pos, 1))
+    m[pos == 0] = np.inf                        # the constant mode first
+    pos = np.take_along_axis(pos, np.lexsort((_tie_order(N)[1][pos], -m)), 1)
+    return pos.reshape(c.shape[:-1] + (depth,))
 
 
 class _FourierRule:
     """A Fourier family at level n: keep the constant mode plus the n
     lowest frequencies (``sequential``: the fixed positions ``sel``) or
     the n largest-magnitude remaining coefficients (greedy, ``sel``
-    None); zero the rest. Its bound ``fit`` is the family's, by which
-    the Monte Carlo engine knows the family and selects its levels from
-    shared rankings."""
+    None). The Monte Carlo engine knows the family by its bound ``fit``."""
 
     def __init__(self, n: int, N: int, sequential: bool):
         if N % 2 or N < 2:
@@ -474,13 +480,11 @@ class _FourierRule:
     def select(self, c: np.ndarray, ranked: Optional[np.ndarray],
                kept: Optional[np.ndarray], support: np.ndarray) -> tuple:
         """The positions this fit keeps, and their values, in each row
-        of data with coefficients ``kept + c`` (``kept`` zero off
-        ``support``; None for ``c`` alone). Greedy reads ``ranked``, c's
-        ``_greedy_order`` at depth n + 1 + |support| or more: off the
-        support the data's coefficients are c's, so its picks lie there.
-        """
+        of data with coefficients ``kept + c`` (``kept`` None, or zero
+        off ``support``). Off the support they are c's, so greedy picks
+        lie there or among ``ranked``, c's first n + 1 + |support|."""
         n, s = self.n, support.size
-        rows = np.arange(len(c))[:, None]
+        rows = np.arange(len(c))[:, None] if self.sel is None else slice(None)
         P = self.sel if self.sel is not None else np.concatenate(
             (np.broadcast_to(support, (len(c), s)), ranked[:, :s + n + 1]), 1)
         v = c[rows, P]
@@ -526,7 +530,7 @@ def greedy_piecewise_complexity(n: int, N: int,
     c = np.asarray(generator_coefficients, dtype=float)
     if c.size != N:
         raise ValueError("need the full coefficient vector")
-    sel = np.sort(_greedy_order(c, n + 1)[1:])
+    sel = np.flatnonzero(greedy_mask(c, n))[1:]
     threshold = 2.0 * math.log(N)
     total = 1.0                                   # constant mode, regular
     for p in sel:

@@ -243,6 +243,15 @@ class TestGreedyMask:
             assert np.array_equal(got, expected)
         assert np.array_equal(greedy_mask(c[0], n), mask[0])
 
+    def test_nan_rows_keep_their_count(self):
+        # A NaN row keeps fewer at the partition's cut while a tied row
+        # keeps more, so the block's total alone cannot find them.
+        c = np.array([[0.0, 1.0, 1.0, 0.5], [0.0, np.nan, 2.0, 0.5]])
+        mask = greedy_mask(c, 1)
+        assert mask.sum(axis=1).tolist() == [2, 2]
+        for row, got in zip(c, mask):
+            assert np.array_equal(got, greedy_mask(row, 1))
+
     def test_order_matches_greedy_selection_at_every_depth(self):
         # Small integers: nearly every row ties at nearly every depth.
         rng = np.random.default_rng([49])
