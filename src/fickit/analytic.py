@@ -15,8 +15,8 @@ import numpy as np
 
 from .core import (BLOCK_BYTES, LOG_2PI, Dataset, FickitError, FittedModel,
                    MonteCarloEstimate, ParameterVector, _chunk_rows,
-                   kl_statistic, replicate_values, shannon_information,
-                   unwrap)
+                   _Deferred, kl_statistic, replicate_values,
+                   shannon_information, unwrap)
 
 # Eigenvalues below this fraction of the largest are treated as
 # degenerate directions and pseudo-inverted.
@@ -184,7 +184,7 @@ class GridAxis:
 
 
 @dataclass
-class LandscapeGrid:
+class LandscapeGrid(_Deferred):
     """In-sample (d) and expected (D) information-loss surfaces over a
     2-parameter grid, with profiles minimized over axis 1."""
 
@@ -200,18 +200,7 @@ class LandscapeGrid:
                   **fields) -> "LandscapeGrid":
         """A grid of every field but ``D_std_error``, which ``build()``
         makes only when first read."""
-        grid = object.__new__(cls)
-        grid.__dict__.update(fields, _build=build)
-        return grid
-
-    def __getattr__(self, name: str):
-        # Only a deferred grid's D_std_error, before it is first read.
-        if name != "D_std_error" or "_build" not in self.__dict__:
-            raise AttributeError(
-                f"'LandscapeGrid' object has no attribute {name!r}")
-        self.D_std_error = self._build()
-        del self._build                 # the closure holds the family
-        return self.D_std_error
+        return cls._defer(lambda: {"D_std_error": build()}, **fields)
 
     # np.fmin ignores NaN cells and gives NaN for an all-invalid
     # column: np.nanmin's result, without its all-NaN warning.

@@ -137,8 +137,31 @@ def derive_seed(seed: int, *tags: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+class _Deferred:
+    """A dataclass whose ``_defer(build, **fields)`` instance holds
+    ``fields`` and ``build``, which returns a dict of the others. The
+    first read of one of those builds them all, once: ``build`` and all
+    it holds are then dropped. Any other missing name, private and
+    dunder ones too, raises ``AttributeError`` and builds nothing."""
+
+    @classmethod
+    def _defer(cls, build: Callable[[], dict], **fields):
+        obj = object.__new__(cls)
+        obj.__dict__.update(fields, _build=build)
+        return obj
+
+    def __getattr__(self, name: str):
+        if ("_build" not in self.__dict__ or name.startswith("_")
+                or name not in self.__dataclass_fields__):
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}")
+        self.__dict__.update(self._build())
+        del self.__dict__["_build"]
+        return self.__dict__[name]
+
+
 @dataclass(frozen=True)
-class Dataset:
+class Dataset(_Deferred):
     """An ordered sample of real-valued observations, or a block of
     samples of equal size, one per row.
 
@@ -167,8 +190,7 @@ class Dataset:
         """A Dataset of ``values``, a float array its caller has just
         made: checked and made read-only as any, but not copied."""
         data = object.__new__(cls)
-        object.__setattr__(data, "_memo", {})
-        object.__setattr__(data, "values", values)
+        data.__dict__.update(_memo={}, values=values)
         data.__post_init__(copy=False)
         return data
 
@@ -182,17 +204,8 @@ class Dataset:
             raise row_error(ValueError, ~np.isfinite(known).all(axis=-1),
                             "Dataset values must all be finite")
         known.setflags(write=False)
-        data = object.__new__(cls)
-        object.__setattr__(data, "_memo", {transform: known})
-        object.__setattr__(data, "_build", build)
-        return data
-
-    def __getattr__(self, name: str):
-        # Only a deferred Dataset's values, before they are first read.
-        if name != "values" or "_build" not in self.__dict__:
-            raise AttributeError(f"'Dataset' object has no attribute {name!r}")
-        object.__setattr__(self, "values", Dataset._own(self._build()).values)
-        return self.values
+        return cls._defer(lambda: {"values": Dataset._own(build()).values},
+                          _memo={transform: known})
 
     @property
     def sample_size(self) -> int:
@@ -229,7 +242,7 @@ def draw_rows(rng, law: str, n: int, *args) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ParameterVector:
+class ParameterVector(_Deferred):
     """Continuous parameter coordinates plus optional discrete tags
     (e.g. selected frequency indices of a greedy fit). Both are stored
     as read-only copies: the coordinates as a float array, the tags as
@@ -258,23 +271,9 @@ class ParameterVector:
 
     @classmethod
     def _deferred(cls, build: Callable[[], tuple]) -> "ParameterVector":
-        """A ParameterVector whose (coordinates, tags) ``build()`` makes,
-        checked as any ParameterVector's, only when its coordinates,
-        tags or dimension are first read."""
-        params = object.__new__(cls)
-        object.__setattr__(params, "_build", build)
-        return params
-
-    def __getattr__(self, name: str):
-        # Only a deferred vector's fields, before they are first read.
-        if (name not in ("coordinates", "tags")
-                or "_build" not in self.__dict__):
-            raise AttributeError(
-                f"'ParameterVector' object has no attribute {name!r}")
-        built = ParameterVector(*self._build())
-        object.__setattr__(self, "coordinates", built.coordinates)
-        object.__setattr__(self, "tags", built.tags)
-        return getattr(self, name)
+        """A ParameterVector of the (coordinates, tags) ``build()`` makes,
+        checked as any, only when its fields or dimension are first read."""
+        return cls._defer(lambda: vars(ParameterVector(*build())))
 
     @property
     def dimension(self) -> int:
@@ -441,16 +440,21 @@ def _fork_map(thunks: Sequence[Callable]) -> list:
     The thunks must be pure: a worker is a fork of the caller, so it
     sees the caller's objects as they were at the call. The workers
     take the thunks in the given order, the next as each finishes, and
-    send back each result or exception pickled. The first exception in
-    the given order is raised once every worker has ended; it keeps its
-    type and message. A worker that ends before sending all its results
-    is a ``ChildProcessError``. Runs in-process when one CPU is usable,
-    without ``os.fork``, in a worker, or beside other Python threads
-    (a fork copies their held locks).
+    each sends back its results and exceptions as one pickle stream,
+    which the parent reads to its end, one worker after another. That
+    cannot deadlock: every task is queued, and the queue's write end
+    closed, before the first fork, so a worker reads its next task or
+    the queue's end, and waits on no other worker nor on the parent.
+    The first exception in the given order is raised once every worker
+    has ended; it keeps its type and message. A worker that ends before
+    sending all its results is a ``ChildProcessError``. Runs in-process
+    when one CPU is usable, without ``os.fork``, in a worker, or beside
+    other Python threads (a fork copies their held locks).
     """
     # Imported on use: pickle and threading imported ahead of numpy
     # raised the peak memory of commands that never fork (30-60 KB).
-    import selectors
+    import contextlib
+    import pickle
     import signal
     import threading
 
@@ -464,11 +468,8 @@ def _fork_map(thunks: Sequence[Callable]) -> list:
     runs = min(len(thunks), _MAX_RUNS)
     bounds = [k * len(thunks) // runs for k in range(runs + 1)]
     replies, pids, codes = {}, [], []
-    selector = selectors.DefaultSelector()
     tasks, queued = fds = list(os.pipe())
     try:
-        # Every run is queued before the first fork, so a worker reads
-        # its next run or the end of the pipe and never waits.
         os.write(queued, b"".join(k.to_bytes(4, "little")
                                   for k in range(runs)))
         os.close(fds.pop())
@@ -476,97 +477,84 @@ def _fork_map(thunks: Sequence[Callable]) -> list:
             fds += os.pipe()                        # fds[-2:]: read, write
             pid = os.fork()
             if pid == 0:
-                code = 1
                 try:
                     for fd in fds[1:-1]:            # keep tasks and write
                         os.close(fd)
                     _work(thunks, bounds, tasks, fds[-1])
-                    code = 0
+                    os._exit(0)
                 finally:
-                    os._exit(code)
+                    os._exit(1)                     # _work raised
             pids.append(pid)
             os.close(fds.pop())
-            selector.register(fds[-1], selectors.EVENT_READ, bytearray())
         os.close(fds.pop(0))
-        while selector.get_map():
-            for key, _ in selector.select():
-                chunk = os.read(key.fd, 1 << 16)
-                key.data.extend(chunk)
-                if not chunk:                       # the worker has ended
-                    selector.unregister(key.fd)
-                    replies.update(_replies(key.data))
+        for fd in fds:          # to its end, or to a reply cut short
+            with (open(fd, "rb", closefd=False) as stream,
+                  contextlib.suppress(EOFError, pickle.UnpicklingError)):
+                while True:
+                    replies.update(pickle.load(stream))
         while pids:
             status = os.waitpid(pids[-1], 0)[1]
             codes.append(os.waitstatus_to_exitcode(status))
             pids.pop()
     finally:
-        selector.close()
         for fd in fds:
             os.close(fd)
         for pid in pids:                # only when the parent was stopped
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    out = []
     for i in range(len(thunks)):
         if i not in replies:
             raise ChildProcessError(
                 f"a worker process ended with exit codes {codes} before "
                 f"returning task {i} of {len(thunks)}")
-        value, error = replies[i]
-        if error is not None:
+        if (error := replies[i][1]) is not None:
             raise error
-        out.append(value)
-    return out
+    return [replies[i][0] for i in range(len(thunks))]
 
 
 def _work(thunks, bounds, tasks: int, write: int) -> None:
     """A worker of ``_fork_map``: runs each run of thunks it reads from
-    the ``tasks`` pipe until the pipe is empty, and writes one
-    length-prefixed pickle of (index, value, exception) per thunk."""
+    ``tasks`` until that pipe is empty, and writes one pickle ``{index:
+    (value, exception)}`` per thunk. A reply that does not pickle and
+    unpickle is sent as a ``RuntimeError`` in its place."""
     import pickle
     global _IN_WORKER
     _IN_WORKER = True
-    with open(write, "wb") as out:
-        while len(token := os.read(tasks, 4)) == 4:
-            k = int.from_bytes(token, "little")
-            for i in range(bounds[k], bounds[k + 1]):
-                try:
-                    reply = (i, thunks[i](), None)
-                except Exception as exc:
-                    try:
-                        pickle.loads(pickle.dumps(exc))
-                    except Exception:
-                        exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-                    reply = (i, None, exc)
-                data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
-                out.write(len(data).to_bytes(8, "little") + data)
-                out.flush()
-
-
-def _replies(data: bytearray) -> dict:
-    """index -> (value, exception) of each whole reply in ``data``; a
-    worker that died mid-write leaves its last reply cut short."""
-    import pickle
-    replies, pos = {}, 0
-    while pos + 8 <= len(data):
-        end = pos + 8 + int.from_bytes(data[pos:pos + 8], "little")
-        if end > len(data):
-            break
-        i, value, error = pickle.loads(data[pos + 8:end])
-        replies[i] = (value, error)
-        pos = end
-    return replies
+    while len(token := os.read(tasks, 4)) == 4:
+        k = int.from_bytes(token, "little")
+        for i in range(bounds[k], bounds[k + 1]):
+            try:
+                reply = {i: (thunks[i](), None)}
+            except Exception as exc:
+                reply = {i: (None, exc)}
+            try:
+                data = pickle.dumps(reply)
+                pickle.loads(data)          # as the parent will read it
+            except Exception as exc:
+                value, error = reply[i]
+                told = (f"{type(error).__name__}: {error}" if error is not None
+                        else f"task {i} returned a {type(value).__name__} "
+                        f"that does not pickle: {exc}")
+                data = pickle.dumps({i: (None, RuntimeError(told))})
+            data = memoryview(data)
+            while data:                 # one reply; a signal may cut a write
+                data = data[os.write(write, data):]
 
 
 def shannon_information(data: Dataset, model: FittedModel):
     """Negative log density of the data under the model, in nats: a
     float for one dataset, one value per row for a block."""
-    h = -np.asarray(model.log_density(data), dtype=float)
+    h = _finite_information(-np.asarray(model.log_density(data), dtype=float))
+    return float(h) if h.ndim == 0 else h
+
+
+def _finite_information(h: np.ndarray) -> np.ndarray:
+    """``h`` if finite, else a ``DensityError`` naming its first row."""
     bad = ~np.isfinite(h)
     if bad.any():
         raise row_error(DensityError, bad, "non-finite information: "
                         "density underflow or invalid parameters")
-    return float(h) if h.ndim == 0 else h
+    return h
 
 
 def cross_entropy_mc(truth_sampler: FittedModel, eval_model: FittedModel,

@@ -15,10 +15,10 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .analytic import FisherMatrix
-from .core import (BLOCK_BYTES, Dataset, DensityError, FickitError,
-                   FittedModel, MonteCarloEstimate, ParameterVector,
-                   StructuredDataError, _chunk_rows, draw_rows,
-                   replicate_values, row_error, shannon_information, unwrap)
+from .core import (BLOCK_BYTES, Dataset, FickitError, FittedModel,
+                   MonteCarloEstimate, ParameterVector, StructuredDataError,
+                   _chunk_rows, _finite_information, draw_rows,
+                   replicate_values, shannon_information, unwrap)
 from .models import _FourierRule, _greedy_order, fourier_transform
 
 Complexity = Union[float, MonteCarloEstimate, None]
@@ -136,27 +136,23 @@ def _complexity_replicates(pairs: Sequence, sample_size: int,
                            generator.from_noise(y_noise))
         return shared[key]
 
-    work = []                       # the gap's two (rows x N) buffers
+    work_of = {}                    # d and k per rule key, and "fit"
 
-    def checked(g: np.ndarray) -> np.ndarray:
-        bad = ~np.isfinite(g)
-        if bad.any():
-            raise row_error(DensityError, bad, "non-finite information: "
-                            "density underflow or invalid parameters")
-        return g
+    def work(key, rows: int) -> list:
+        # Zero when made, each within BLOCK_BYTES: one twice that size
+        # would be a fresh memory map, faulted in on every call.
+        if key not in work_of:
+            most = min(_chunk_rows(sample_size, BLOCK_BYTES), replicates)
+            work_of[key] = [np.zeros((most, sample_size)) for _ in range(2)]
+        return [w[:rows] for w in work_of[key]]
 
     def covariance_gap(z: Dataset, y: Dataset, fit_z: FittedModel,
                        fit_y: FittedModel) -> np.ndarray:
         c_z = fourier_transform(z)
-        if not work:
-            # Two arrays within BLOCK_BYTES each: one twice that size
-            # would be a fresh memory map, faulted in on every call.
-            rows = min(_chunk_rows(sample_size, BLOCK_BYTES), replicates)
-            work.extend(np.empty((rows, sample_size)) for _ in range(2))
-        d, k = (w[:len(c_z)] for w in work)
+        d, k = work("fit", len(c_z))
         np.subtract(c_z, fourier_transform(y), out=d)
         np.subtract(fit_z.kept, fit_y.kept, out=k)
-        return checked(0.5 * np.einsum("...i,...i->...", d, k))
+        return _finite_information(0.5 * np.einsum("...i,...i->...", d, k))
 
     # A greedy rule pair ranks by key: the noise's coefficients under a
     # generator with ``kept`` (key None; off its support S the data's
@@ -176,7 +172,6 @@ def _complexity_replicates(pairs: Sequence, sample_size: int,
     depth = {key: max(d) for key, d in levels.items() if len(d) > 1}
     rules = {pair: r for pair, r in rules.items()
              if r[0].sel is not None or r[2] in depth}
-    work_of = {}                    # per key, two buffers as ``work``
 
     def rule_gap(rule: _FourierRule, S: np.ndarray, key, generator,
                  z_noise: Dataset, y_noise: Dataset) -> np.ndarray:
@@ -184,10 +179,7 @@ def _complexity_replicates(pairs: Sequence, sample_size: int,
         z, y = ((z_noise, y_noise) if kept is not None
                 else datasets(generator, z_noise, y_noise))
         c_z, c_y = fourier_transform(z), fourier_transform(y)
-        if key not in work_of:              # the key's d and a zero k
-            rows = min(_chunk_rows(sample_size, BLOCK_BYTES), replicates)
-            work_of[key] = [np.zeros((rows, sample_size)) for _ in range(2)]
-        d, k = (w[:len(c_z)] for w in work_of[key])
+        d, k = work(key, len(c_z))          # k stays zero between uses
         if ("rule", key) not in shared:     # the chunk's d and ranks
             np.subtract(c_z, c_y, out=d)
             deep = depth.get(key)
@@ -208,7 +200,7 @@ def _complexity_replicates(pairs: Sequence, sample_size: int,
         g = 0.5 * np.einsum("...i,...i->...", d, k)
         k[rows, P_z] = k[rows, P_y] = 0.0   # leave k zero and d the chunk's
         d[:, S] = base
-        return checked(g)
+        return _finite_information(g)
 
     def gap_of(family, generator: FittedModel):
         rule = rules.get((id(family), id(generator)))

@@ -3,6 +3,7 @@ statistic and divergence, and the error statistic."""
 
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import fickit
 from fickit import core
+from fickit.analytic import LandscapeGrid
 from fickit.core import (Dataset, DensityError, FitError, FittedModel,
                          MonteCarloEstimate, ParameterVector, cross_entropy_mc,
                          error_statistic, kl_divergence_mc, kl_statistic,
@@ -485,3 +487,116 @@ class TestForkMap:
     def test_one_cpu_runs_in_process(self, use_cpus):
         use_cpus(1)
         assert core._fork_map([os.getpid, os.getpid]) == [os.getpid()] * 2
+
+    def test_result_that_does_not_pickle_is_retold(self, use_cpus,
+                                                   no_children):
+        use_cpus(2)
+        with pytest.raises(RuntimeError, match="task 1 returned a function "
+                           "that does not pickle: .*lambda"):
+            core._fork_map([lambda: 1, lambda: (lambda: 2)])
+        assert no_children()
+
+    # Cuts of the last task's reply: at a reply boundary (0), inside the
+    # first frame's header (2) and just past it (11), inside the large
+    # bytes value written after that frame, and before its last byte.
+    @pytest.mark.parametrize("cut", [0, 2, 11, -100_000, -1])
+    def test_reply_cut_short_is_a_missing_task(self, use_cpus, no_children,
+                                               monkeypatch, cut):
+        use_cpus(2)
+        parent, write, last = os.getpid(), os.write, 5
+
+        def cut_short(fd, data):
+            if os.getpid() == parent or last not in pickle.loads(data):
+                return write(fd, data)
+            write(fd, data[:cut])
+            os._exit(1)
+
+        monkeypatch.setattr(os, "write", cut_short)
+        thunks = [lambda i=i: i for i in range(last)] + [lambda: bytes(2**18)]
+        start = time.monotonic()
+        with pytest.raises(ChildProcessError,
+                           match=r"exit codes .*1.* before returning task "
+                                 f"{last} of {last + 1}$"):
+            core._fork_map(thunks)
+        assert time.monotonic() - start < 5.0
+        assert no_children()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="lists open descriptors through /proc")
+    @pytest.mark.parametrize("case", ["success", "error", "dead worker",
+                                      "parent stopped"])
+    def test_no_file_descriptor_is_left_open(self, use_cpus, no_children,
+                                             monkeypatch, case):
+        use_cpus(2)
+        thunks = [lambda: 1, lambda: 2, lambda: 3]
+        expected = None
+        if case == "error":
+            thunks[1], expected = lambda: _raise(KeyError("injected")), KeyError
+        elif case == "dead worker":
+            thunks[1], expected = lambda: os._exit(1), ChildProcessError
+        elif case == "parent stopped":
+            expected = KeyboardInterrupt
+            monkeypatch.setattr(pickle, "load",
+                                lambda stream: _raise(KeyboardInterrupt()))
+        before = sorted(os.listdir("/proc/self/fd"))
+        if expected is None:
+            assert core._fork_map(thunks) == [1, 2, 3]
+        else:
+            with pytest.raises(expected):
+                core._fork_map(thunks)
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert no_children()
+
+
+def _deferred_dataset(build):
+    return Dataset._deferred(lambda: build(np.arange(6.0).reshape(2, 3)),
+                             np.negative, np.ones((2, 3))), ["values"]
+
+
+def _deferred_parameters(build):
+    return ParameterVector._deferred(
+        lambda: build((np.ones(2), [3, -5]))), ["coordinates", "tags"]
+
+
+def _deferred_grid(build):
+    axis, zeros = np.linspace(0.0, 1.0, 3), np.zeros((3, 3))
+    grid = LandscapeGrid._deferred(
+        lambda: build(zeros), axis1_values=axis, axis2_values=axis,
+        d_surface=zeros, D_surface=zeros, invalid=zeros.astype(bool))
+    return grid, ["D_std_error"]
+
+
+@pytest.mark.parametrize("make", [_deferred_dataset, _deferred_parameters,
+                                  _deferred_grid])
+class TestDeferredFields:
+    """Every class with fields built on first read keeps one contract."""
+
+    @staticmethod
+    def counted(make):
+        built = []
+
+        def build(fields):
+            built.append(1)
+            return fields
+
+        return (*make(build), built)
+
+    def test_a_deferred_field_is_built_once(self, make):
+        obj, names, built = self.counted(make)
+        assert "_build" in vars(obj) and built == []
+        first = [getattr(obj, name) for name in names]
+        assert all(getattr(obj, n) is f for n, f in zip(names, first))
+        assert len(built) == 1 and "_build" not in vars(obj)
+
+    @pytest.mark.parametrize("name", ["other", "_other", "__deepcopy__",
+                                      "__setstate__"])
+    def test_any_other_missing_name_builds_nothing(self, make, name):
+        obj, names, built = self.counted(make)
+        message = f"'{type(obj).__name__}' object has no attribute '{name}'"
+        with pytest.raises(AttributeError, match=message):
+            getattr(obj, name)
+        assert built == [] and "_build" in vars(obj)
+        getattr(obj, names[0])
+        with pytest.raises(AttributeError, match=message):
+            getattr(obj, name)
+        assert len(built) == 1
