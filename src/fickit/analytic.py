@@ -13,10 +13,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (BLOCK_BYTES, LOG_2PI, Dataset, FickitError, FittedModel,
-                   MonteCarloEstimate, ParameterVector, _chunk_rows,
-                   _Deferred, kl_statistic, replicate_values,
-                   shannon_information, unwrap)
+from .core import (LOG_2PI, Dataset, FickitError, FittedModel,
+                   MonteCarloEstimate, ParameterVector, _chunk_rows, _Deferred,
+                   kl_statistic, replicate_values, shannon_information, unwrap)
 
 # Eigenvalues below this fraction of the largest are treated as
 # degenerate directions and pseudo-inverted.
@@ -123,8 +122,8 @@ def max_chi2_mc(m: int, nu: int, replicates: int,
     # replicate in pieces of columns when its m draws exceed the
     # budget. Split calls continue one stream, so the draws do not
     # depend on the chunking.
-    rows = _chunk_rows(m, BLOCK_BYTES)
-    cols = min(m, BLOCK_BYTES // 8)
+    rows = _chunk_rows(m)
+    cols = min(m, _chunk_rows(1))
     for done in range(0, replicates, rows):
         top = maxima[done:done + rows]
         top[:] = -np.inf
@@ -301,7 +300,7 @@ def information_landscape(family, truth: FittedModel, data: Dataset,
     N = data.sample_size
     mu0 = _unit_normal_mean(truth, N)
     h_truth_data = shannon_information(data, truth)
-    rows = _chunk_rows(N, BLOCK_BYTES)
+    rows = _chunk_rows(N)
     # Cells go by walk index and are transposed to the grid's shape at
     # the end: a list of every cell's parameters would raise the peak
     # memory of a large grid.

@@ -21,17 +21,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-# Byte budget of one (rows x N) float64 array of the Monte Carlo engine.
-# Replicates are drawn, fit and scored in chunks of at most this many
-# bytes per array, so memory stays flat in the replicate count; a
+# Byte budget of one (rows x N) float64 array, read by every chunked
+# loop when it runs, so memory stays flat in the replicate count. A
 # complexity call holds about a dozen such arrays at once.
 BLOCK_BYTES = 128 * 1024
 
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _chunk_rows(n: int, budget: int) -> int:
-    return max(1, budget // (8 * n))        # rows of n floats, at least one
+def _chunk_rows(n: int) -> int:
+    return max(1, BLOCK_BYTES // (8 * n))   # rows of n floats, at least one
 
 
 class FickitError(Exception):
@@ -372,7 +371,7 @@ def replicate_values(draw, sample_size: int, replicates: int, seed: int,
     """
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
-    rows = _chunk_rows(int(sample_size), BLOCK_BYTES)
+    rows = _chunk_rows(int(sample_size))
     # The streams' seed words are hashed a window of whole chunks at a
     # time: BLOCK_BYTES of 32-byte rows, or one chunk when that is more.
     window = rows * max(1, BLOCK_BYTES // (32 * rows))
@@ -441,10 +440,11 @@ def _fork_map(thunks: Sequence[Callable]) -> list:
     sees the caller's objects as they were at the call. The workers
     take the thunks in the given order, the next as each finishes, and
     each sends back its results and exceptions as one pickle stream,
-    which the parent reads to its end, one worker after another. That
-    cannot deadlock: every task is queued, and the queue's write end
-    closed, before the first fork, so a worker reads its next task or
-    the queue's end, and waits on no other worker nor on the parent.
+    which the parent reads to its end, one worker after another. As
+    every task is queued (and the queue closed) before the first fork,
+    no worker waits on another, so this cannot deadlock; but one whose
+    unread replies fill its pipe (64 KB) waits until the parent has read
+    the workers before it: a sweep reply of over ~1,250 levels does.
     The first exception in the given order is raised once every worker
     has ended; it keeps its type and message. A worker that ends before
     sending all its results is a ``ChildProcessError``. Runs in-process

@@ -15,10 +15,10 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .analytic import FisherMatrix
-from .core import (BLOCK_BYTES, Dataset, FickitError, FittedModel,
-                   MonteCarloEstimate, ParameterVector, StructuredDataError,
-                   _chunk_rows, _finite_information, draw_rows,
-                   replicate_values, shannon_information, unwrap)
+from .core import (Dataset, FickitError, FittedModel, MonteCarloEstimate,
+                   ParameterVector, StructuredDataError, _chunk_rows,
+                   _finite_information, draw_rows, replicate_values,
+                   shannon_information, unwrap)
 from .models import _FourierRule, _greedy_order, fourier_transform
 
 Complexity = Union[float, MonteCarloEstimate, None]
@@ -139,11 +139,11 @@ def _complexity_replicates(pairs: Sequence, sample_size: int,
     work_of = {}                    # d and k per rule key, and "fit"
 
     def work(key, rows: int) -> list:
-        # Zero when made, each within BLOCK_BYTES: one twice that size
-        # would be a fresh memory map, faulted in on every call.
+        # Zero when made, one chunk each: one twice that size would be
+        # a fresh memory map, faulted in on every call. The first chunk
+        # handed sets the size; replicate_values hands no larger one.
         if key not in work_of:
-            most = min(_chunk_rows(sample_size, BLOCK_BYTES), replicates)
-            work_of[key] = [np.zeros((most, sample_size)) for _ in range(2)]
+            work_of[key] = [np.zeros((rows, sample_size)) for _ in range(2)]
         return [w[:rows] for w in work_of[key]]
 
     def covariance_gap(z: Dataset, y: Dataset, fit_z: FittedModel,
@@ -297,7 +297,7 @@ def loocv(data: Dataset, family, label: str = "") -> CriterionReport:
     # time, row i without observation i; row i's fit scores observation
     # i. A block that fails is redone row by row, so an error is the
     # one-row fit's. The sum runs in row order, as one row at a time.
-    rows = _chunk_rows(n, BLOCK_BYTES)
+    rows = _chunk_rows(n)
     total = 0.0
     for start in range(0, n, rows):
         stop = min(start + rows, n)
@@ -323,32 +323,25 @@ def fic_complexity_gradient(family, theta_hat: ParameterVector,
     """Central-difference gradient of the Monte Carlo complexity with
     respect to the generator parameters, with its standard error.
 
-    Both sides of every difference reuse the same seed, so the noise of
-    shared draws cancels. Steps are ``fd_step`` in MLE-standard-deviation
-    units per coordinate.
+    Every side of every difference is scored in one call on the same
+    draws, so the noise of shared draws cancels. Steps are ``fd_step``
+    (finite and non-zero) in MLE-standard-deviation units per coordinate.
     """
-    fisher = family.fisher_at(theta_hat, sample_size)
-    inv = _fisher_inverse(fisher, use_pseudo_inverse)
-    scales = np.sqrt(np.diag(inv))
-    dim = theta_hat.dimension
-    grad = np.empty(dim)
-    grad_se = np.empty(dim)
-    coords = theta_hat.coordinates
-    for i in range(dim):
-        step = fd_step * (scales[i] if scales[i] > 0 else 1.0)
-        plus = np.array(coords)
-        minus = np.array(coords)
-        plus[i] += step
-        minus[i] -= step
-        gen_p = family.model_at(ParameterVector(plus, tags=theta_hat.tags))
-        gen_m = family.model_at(ParameterVector(minus, tags=theta_hat.tags))
-        v_p, v_m = unwrap(_complexity_replicates(
-            [(family, gen_p), (family, gen_m)], sample_size, replicates,
-            seed))
-        diffs = (v_p - v_m) / (2.0 * step)
-        grad[i] = diffs.mean()
-        grad_se[i] = diffs.std(ddof=1) / math.sqrt(replicates)
-    return grad, grad_se
+    if fd_step == 0 or not math.isfinite(fd_step):
+        raise ValueError(f"fd_step must be finite and non-zero: {fd_step}")
+    scales = np.sqrt(np.diag(_fisher_inverse(
+        family.fisher_at(theta_hat, sample_size), use_pseudo_inverse)))
+    steps = fd_step * np.where(scales > 0, scales, 1.0)
+    pairs = []
+    for i, step in enumerate(steps):
+        for side in (step, -step):              # plus, then minus
+            shifted = np.array(theta_hat.coordinates)
+            shifted[i] += side
+            pairs.append((family, family.model_at(
+                ParameterVector(shifted, tags=theta_hat.tags))))
+    v = unwrap(_complexity_replicates(pairs, sample_size, replicates, seed))
+    diffs = (np.array(v[::2]) - v[1::2]) / (2.0 * steps[:, None])
+    return diffs.mean(axis=1), diffs.std(ddof=1, axis=1) / np.sqrt(replicates)
 
 
 def fic_variance_estimate(family, theta_hat: ParameterVector,

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fickit import analytic
+from fickit import analytic, core
 from fickit.analytic import (FisherMatrix, GridAxis, LandscapeGrid,
                              classify_coordinate, coordinate_complexities,
                              count_local_minima, error_statistic_correlation,
@@ -164,7 +164,7 @@ class TestMaxChi2:
         # 300 < m splits every replicate into column pieces, 1000 = m
         # draws one replicate per chunk, 2500 draws two.
         expected = [max_chi2_mc(1000, nu, 7, seed=67) for nu in (1, 2, 3)]
-        monkeypatch.setattr(analytic, "BLOCK_BYTES", 8 * budget)
+        monkeypatch.setattr(core, "BLOCK_BYTES", 8 * budget)
         assert [max_chi2_mc(1000, nu, 7, seed=67)
                 for nu in (1, 2, 3)] == expected
 
@@ -182,7 +182,7 @@ class TestMaxChi2:
     def test_holds_one_chunk_at_a_time(self, monkeypatch, m, replicates):
         # Whole replicates per chunk, and one replicate in pieces.
         budget = 10_000
-        monkeypatch.setattr(analytic, "BLOCK_BYTES", 8 * budget)
+        monkeypatch.setattr(core, "BLOCK_BYTES", 8 * budget)
         assert self._peak_bytes(m, replicates) < 1.5 * 8 * budget
 
     @pytest.mark.parametrize("m, replicates",
@@ -192,7 +192,7 @@ class TestMaxChi2:
         # that would otherwise be measured in place of the chunk.
         max_chi2_mc(2, 1, 2, seed=0)
         assert self._peak_bytes(m, replicates) < \
-            1.5 * analytic.BLOCK_BYTES + 8 * replicates
+            1.5 * core.BLOCK_BYTES + 8 * replicates
 
 
 class TestErrorStatisticCorrelation:
@@ -443,7 +443,7 @@ class TestLandscapeAgainstReference:
             return family.model_at(params)
 
         picky = SimpleNamespace(model_at=model_at)
-        monkeypatch.setattr(analytic, "BLOCK_BYTES", 8 * N * 5)
+        monkeypatch.setattr(core, "BLOCK_BYTES", 8 * N * 5)
         got = information_landscape(picky, truth, data, *axes,
                                     replicates=30, seed=100)
         block_calls = len(calls)
@@ -465,7 +465,7 @@ class TestLandscapeAgainstReference:
         blind_family = blind(family, truth)
         data = truth.sampler(N, replicate_rng(101, 0))
         axes = GridAxis(-1.0, 1.0, 5), GridAxis(0.3, 1.5, 7)
-        monkeypatch.setattr(analytic, "BLOCK_BYTES", 8 * N * 8)
+        monkeypatch.setattr(core, "BLOCK_BYTES", 8 * N * 8)
         got = information_landscape(blind_family, truth, data, *axes,
                                     replicates=20, seed=102)
         ref = _reference_landscape(blind_family, truth, data, *axes, 20,
@@ -490,7 +490,7 @@ class TestLandscapeAgainstReference:
         axes = GridAxis(-1.5, 1.5, 31), GridAxis(0.3, 1.5566, 81)
         information_landscape(SimpleNamespace(model_at=model_at), truth,
                               data, *axes, replicates=10, seed=104)
-        rows = analytic.BLOCK_BYTES // (8 * N)
+        rows = core.BLOCK_BYTES // (8 * N)
         assert len(calls) <= math.ceil(31 * 81 / rows) + 1
 
     def test_memory_bounded_in_cells(self):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fickit import core, criteria
 from fickit.core import (BLOCK_BYTES, Dataset, DensityError, FickitError,
                          FitError, ParameterVector, StructuredDataError,
                          replicate_rng, shannon_information, unwrap)
@@ -305,6 +306,42 @@ class TestRuleFits:
                 tracemalloc.stop()
         assert max(peaks) <= bound * BLOCK_BYTES
         assert peaks[1] - peaks[0] <= (9 * 8 + 32) * 900 + 4096
+
+
+class TestChunkBudget:
+    """The engine reads ``core.BLOCK_BYTES`` when it runs, and sizes its
+    workspace from the chunks it is handed: a patched budget moves the
+    chunk boundaries only, not one value."""
+
+    @staticmethod
+    def _pairs(which: str) -> list:
+        N = 1000
+        truth = neutrino_truth(N)
+        data = truth.sampler(N, replicate_rng(124, 0))
+        greedy = [greedy_fourier_family(n, N) for n in range(9)]
+        if which == "sequential under truth":
+            return [(sequential_fourier_family(n, N), truth)
+                    for n in range(9)]
+        if which == "greedy under level fits":          # the rule path
+            return [(f, f.fit(data)) for f in greedy]
+        # The general path, with its covariance gap.
+        return [(_wrapped(greedy[3]), greedy[3].fit(data))]
+
+    @pytest.mark.parametrize("which", ["sequential under truth",
+                                       "greedy under level fits",
+                                       "wrapped greedy under its fit"])
+    @pytest.mark.parametrize("budget", [4 * 128 * 1024, 8 * 1000 * 3],
+                             ids=["4x", "3 rows"])
+    def test_patched_budget_keeps_every_value(self, monkeypatch, which,
+                                              budget):
+        # R=100 runs in chunks of 16 rows by default, 65 + 35 at 4x and
+        # 34 chunks at 3 rows.
+        pairs = self._pairs(which)
+        expected = unwrap(_complexity_replicates(pairs, 1000, 100, 125))
+        monkeypatch.setattr(core, "BLOCK_BYTES", budget)
+        got = unwrap(_complexity_replicates(pairs, 1000, 100, 125))
+        for a, b in zip(got, expected, strict=True):
+            assert np.array_equal(a, b)
 
 
 def _gradient_pair(family, theta, i, step):
@@ -831,6 +868,54 @@ class TestFicVariance:
         theta = ParameterVector([10.0, threshold], tags=(0, 3))
         v = fic_variance_estimate(family, theta, N, replicates=500, seed=63)
         assert v > 0.1
+
+    @staticmethod
+    def _gradient_cases() -> dict:
+        greedy = greedy_fourier_family(3, 100)
+        data = neutrino_truth(100).sampler(100, replicate_rng(126, 0))
+        return {"sine": (sine_regression_family(40),
+                         ParameterVector([0.5, 0.9]), 40, True),
+                "greedy": (greedy, greedy.fit(data).params, 100, False)}
+
+    @pytest.mark.parametrize("case", ["sine", "greedy"])
+    def test_gradient_is_one_engine_call(self, monkeypatch, case):
+        family, theta, N, pinv = self._gradient_cases()[case]
+        R, seed, fd_step = 300, 127, 0.05
+        engine = criteria._complexity_replicates
+        calls = []
+
+        def counted(pairs, *args):
+            calls.append(len(pairs))
+            return engine(pairs, *args)
+
+        monkeypatch.setattr(criteria, "_complexity_replicates", counted)
+        grad, grad_se = fic_complexity_gradient(
+            family, theta, N, fd_step, R, seed, use_pseudo_inverse=pinv)
+        assert calls == [2 * theta.dimension]
+        # The reference scores each coordinate's two sides in a call of
+        # their own.
+        scales = np.sqrt(np.diag(criteria._fisher_inverse(
+            family.fisher_at(theta, N), pinv)))
+        for i, scale in enumerate(scales):
+            step = fd_step * (scale if scale > 0 else 1.0)
+            sides = []
+            for side in (step, -step):
+                shifted = np.array(theta.coordinates)
+                shifted[i] += side
+                sides.append((family, family.model_at(
+                    ParameterVector(shifted, tags=theta.tags))))
+            v_p, v_m = unwrap(engine(sides, N, R, seed))
+            diffs = (v_p - v_m) / (2.0 * step)
+            assert grad[i] == diffs.mean()
+            assert grad_se[i] == diffs.std(ddof=1) / math.sqrt(R)
+
+    @pytest.mark.parametrize("estimate", [fic_complexity_gradient,
+                                          fic_variance_estimate])
+    @pytest.mark.parametrize("fd_step", [0.0, np.nan, np.inf])
+    def test_zero_or_non_finite_step_is_refused(self, estimate, fd_step):
+        with pytest.raises(ValueError, match="fd_step"):
+            estimate(gaussian_mean_family(2), ParameterVector([0.3, -0.2]),
+                     20, fd_step=fd_step, replicates=50, seed=1)
 
     def test_singular_fisher_requires_pseudo_inverse_flag(self):
         N = 20
