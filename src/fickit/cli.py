@@ -529,14 +529,12 @@ def cmd_oracle_suite(config: ExperimentConfig) -> list:
                      ["check", "expected", "got", "stderr", "pass"], checks)
     if not all(c[-1] for c in checks):
         failed = [c[0] for c in checks if not c[-1]]
-        raise OracleFailure(f"oracle checks failed: {failed}", [path])
+        raise OracleFailure(f"oracle checks failed: {failed}")
     return [path]
 
 
 class OracleFailure(FickitError):
-    def __init__(self, message, paths):
-        super().__init__(message)
-        self.paths = paths
+    """An oracle check disagreed with its closed form."""
 
 
 def cmd_evt_table(config: ExperimentConfig) -> list:

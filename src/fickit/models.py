@@ -96,25 +96,22 @@ def _gaussian_model(params: ParameterVector,
                     kept: Optional[np.ndarray] = None) -> FittedModel:
     """Independent normal observations around ``mean(n)`` (shape (n,),
     or (R, n) for a fit to a block) with the given variance (a scalar,
-    or one per row).
+    or one per row). Its data are ``sd * noise`` with the mean added in
+    place.
 
     A Fourier fit passes the orthonormal coefficients it ``kept`` in
-    place of a mean. It scores in coefficient space (Parseval), and
-    builds its data-space mean, one inverse transform, only when first
-    asked for it. It samples in coefficient space too (the transform
-    is linear): its data's coefficients are ``kept`` plus the noise's,
-    memoised on a noise Dataset, and their values are built when read.
-    At unit variance the model exposes them as its ``kept``, from which
-    the complexity gap of two such fits is one inner product.
-
-    A scalar unit variance skips log 1 = 0, the division by 1 and the
-    scaling of the noise by sqrt 1 = 1, which change nothing: it gives
-    the unit-variance density and data bit for bit.
+    place of a mean, and no variance: such a model has unit variance.
+    It scores in coefficient space (Parseval), and builds its
+    data-space mean, one inverse transform, only when first asked for
+    it. It samples in coefficient space too (the transform is linear):
+    its data's coefficients are ``kept`` plus the noise's, memoised on
+    a noise Dataset, and their values are built when read. The model
+    exposes them as its ``kept``, from which the complexity gap of two
+    such fits is one inner product.
     """
     variance = np.asarray(variance, dtype=float)
-    unit = variance.ndim == 0 and float(variance) == 1.0
-    log_norm = LOG_2PI if unit else LOG_2PI + _log(variance)
-    sd = None if unit else np.sqrt(variance)[..., None]
+    log_norm = LOG_2PI + _log(variance)
+    sd = np.sqrt(variance)[..., None]
     if kept is not None:
         N = kept.shape[-1]
         inverse = []                # the data-space mean, once built
@@ -134,15 +131,13 @@ def _gaussian_model(params: ParameterVector,
             sq = fourier_transform(data) - kept
         np.square(sq, out=sq)
         half = 0.5 * sq.sum(axis=-1)
-        return -0.5 * n * log_norm - (half if unit else half / variance)
+        return -0.5 * n * log_norm - half / variance
 
     def from_noise(noise) -> Dataset:
         x = getattr(noise, "values", noise)     # an array, or its Dataset
         n = x.shape[-1]
 
         def values() -> np.ndarray:             # a fresh array
-            if unit:
-                return mean(n) + x
             v, m = sd * x, mean(n)
             whole = v.shape == np.broadcast_shapes(v.shape, m.shape)
             return np.add(v, m, out=v if whole else None)
@@ -150,16 +145,14 @@ def _gaussian_model(params: ParameterVector,
         if kept is None:
             return Dataset._own(values())
         _check_size(n, N)
-        c = fourier_transform(noise)
         return Dataset._deferred(values, _coefficients,
-                                 kept + c if unit else kept + sd * c)
+                                 kept + fourier_transform(noise))
 
     return FittedModel(params, log_density, from_noise, label=label,
-                       mean=mean, variance=variance,
-                       kept=kept if unit else None)
+                       mean=mean, variance=variance, kept=kept)
 
 
-def gaussian_mean_model(means: np.ndarray, label: str = "") -> FittedModel:
+def gaussian_mean_model(means: np.ndarray) -> FittedModel:
     """Unit-variance normal blocks around the given per-block means (a
     row of means per dataset for a fit to a block).
 
@@ -170,7 +163,7 @@ def gaussian_mean_model(means: np.ndarray, label: str = "") -> FittedModel:
     k = means.shape[-1]
     return _gaussian_model(
         ParameterVector(means),
-        lambda n: np.repeat(means, _block_sizes(n, k), axis=-1), label=label)
+        lambda n: np.repeat(means, _block_sizes(n, k), axis=-1))
 
 
 def gaussian_mean_family(K: int) -> ModelFamily:
@@ -395,8 +388,6 @@ def greedy_mask(coeffs: np.ndarray, n: int) -> np.ndarray:
     """
     c = np.asarray(coeffs, dtype=float)
     N = c.shape[-1]
-    if n == 0:                                  # the constant mode only
-        return np.broadcast_to(np.arange(N) == 0, c.shape).copy()
     mags = np.abs(c.reshape(-1, N))
     mags[:, 0] = np.inf
     top = np.partition(mags, N - 1 - n, axis=1)[:, N - 1 - n:]

@@ -610,6 +610,54 @@ class TestMain:
         assert expected["exponential_N10"] == pytest.approx(10.0 / 9.0)
         assert expected["linear_regression_K3_N10"] == pytest.approx(5.0)
 
+    def test_failed_oracle_check_exits_oracle(self, tmp_path, capsys,
+                                              monkeypatch):
+        rows = [("holds", 1.0, 1.01, 0.02, True),
+                ("breaks", 2.0, 3.0, 0.1, False)]
+        monkeypatch.setattr(cli, "_oracle_checks", lambda config: rows)
+        code = main(["oracle-suite", "--out", str(tmp_path)])
+        assert code == EXIT_ORACLE
+        assert capsys.readouterr().err == \
+            "error: oracle checks failed: ['breaks']\n"
+        _, written = _read_rows(tmp_path / "oracle.csv")
+        assert [(r["check"], r["pass"]) for r in written] == \
+            [("holds", "true"), ("breaks", "false")]
+
+    def test_every_failed_sweep_cell_exits_numerical(self, tmp_path, capsys,
+                                                     monkeypatch):
+        family_of = cli._family
+
+        def failing(algorithm, n, N):
+            def fit(data):
+                raise FitError("injected")
+            return dataclasses.replace(family_of(algorithm, n, N), fit=fit)
+
+        monkeypatch.setattr(cli, "_family", failing)
+        code = main(["sweep", "--replicates", "30", "--out", str(tmp_path)])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "error: every sweep cell failed\n"
+        _, rows = _read_rows(tmp_path / "sweep.csv")
+        assert rows and all(r["error"] == "injected" for r in rows)
+        header, summary = _read_rows(tmp_path / "summary.csv")
+        assert header == ["algorithm", "best_n", "fic_min"] and not summary
+
+    @pytest.mark.parametrize("command, experiment, field, value, message", [
+        ("sweep", "neutrino_sweep", "sample_size", 21,
+         "sample_size must be even"),
+        ("landscape", "landscape", "landscape_family", "nope",
+         "unknown landscape_family 'nope'"),
+    ])
+    def test_command_usage_error_writes_nothing(self, tmp_path, capsys,
+                                                command, experiment, field,
+                                                value, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"experiment": experiment,
+                                    "out_dir": str(tmp_path / "out"),
+                                    field: value}))
+        assert main([command, "--config", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_evt_table_deterministic_via_cli(self, tmp_path, capsys):
         for d in ("a", "b"):
             code = main(["evt-table", "--replicates", "500",

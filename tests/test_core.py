@@ -267,6 +267,33 @@ class TestReplicateValues:
         with pytest.raises(DensityError, match="^replicates 163"):
             unwrap([first, failed, last])
 
+    def test_failed_draw_fails_every_live_statistic(self):
+        model = gaussian_mean_model([0.0])
+        assert core._chunk_rows(1000) == 16
+        chunks = []
+
+        def draw(n, rngs):
+            chunks.append(len(rngs))
+            if len(chunks) == 2:
+                raise FitError("bad draw")
+            return model.sampler(n, rngs)
+
+        def fails_first(y):
+            raise ValueError("early")
+
+        first, failed, last = replicate_values(
+            draw, 1000, 40, 7,
+            [lambda y: y.values[:, 0], fails_first, lambda y: y.values[:, 1]])
+        assert chunks == [16, 16]
+        for dead in (first, last):
+            assert type(dead) is FitError
+            assert str(dead) == "replicates 16..31 (seed 7) failed: bad draw"
+        assert type(failed) is ValueError
+        assert str(failed) == "replicates 0..15 (seed 7) failed: early"
+        with pytest.raises(FitError) as raised:
+            unwrap([first, failed, last])
+        assert raised.value is first
+
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 + 5, -3]
 SEEDS = EDGE_SEEDS + [int(s) for s in

@@ -21,8 +21,9 @@ from fickit.criteria import (_complexity_replicates, aic, aicc_exponential,
 from fickit.models import (exponential_family, exponential_model,
                            fourier_transform, gaussian_mean_family,
                            gaussian_mean_model, greedy_fourier_family,
-                           linear_regression_family, neutrino_truth,
-                           sequential_fourier_family, sine_regression_family)
+                           linear_regression_family, linear_trend_family,
+                           neutrino_truth, sequential_fourier_family,
+                           sine_regression_family)
 
 from conftest import fixed_family
 
@@ -916,6 +917,35 @@ class TestFicVariance:
         with pytest.raises(ValueError, match="fd_step"):
             estimate(gaussian_mean_family(2), ParameterVector([0.3, -0.2]),
                      20, fd_step=fd_step, replicates=50, seed=1)
+
+    @pytest.mark.parametrize("case", ["gaussian", "sine", "greedy"])
+    def test_variance_evaluates_the_fisher_metric_once(self, case):
+        cases = {"gaussian": (gaussian_mean_family(2),
+                              ParameterVector([0.3, -0.2]), 20, False),
+                 **self._gradient_cases()}
+        family, theta, N, pinv = cases[case]
+        calls = []
+
+        def counted(params, sample_size):
+            calls.append(sample_size)
+            return family.fisher_at(params, sample_size)
+
+        counting = dataclasses.replace(family, fisher_at=counted)
+        fic_variance_estimate(counting, theta, N, replicates=50, seed=5,
+                              use_pseudo_inverse=pinv)
+        assert calls == [N]
+
+    @pytest.mark.parametrize("family, theta, N", [
+        (linear_regression_family(np.column_stack(
+            [np.ones(12), np.linspace(0.0, 1.0, 12)])), [1.0, 2.0, 0.5], 12),
+        (linear_trend_family(10), [1.0, 2.0], 10),
+        (linear_trend_family(30), [1.0, 2.0], 30),
+    ], ids=["regression_N12", "trend_N10", "trend_N30"])
+    def test_linear_families_have_invariant_complexity(self, family, theta,
+                                                       N):
+        v = fic_variance_estimate(family, ParameterVector(theta), N,
+                                  replicates=200, seed=3)
+        assert 0.0 <= v < 1e-20
 
     def test_singular_fisher_requires_pseudo_inverse_flag(self):
         N = 20

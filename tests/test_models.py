@@ -77,6 +77,18 @@ class TestLinearRegressionFamily:
         with pytest.raises(FitError):
             family.fit(Dataset([2.0] * 5))
 
+    def test_fisher_matrix(self):
+        # Design [1, t] on 12 points of [0, 1]: X'X = [[12, 6],
+        # [6, 506/121]], over sigma^2 = 0.5; the variance entry is
+        # N / (2 sigma^4) = 24.
+        design = np.column_stack([np.ones(12), np.linspace(0.0, 1.0, 12)])
+        fisher = linear_regression_family(design).fisher_at(
+            ParameterVector([1.0, 2.0, 0.5]), 12)
+        assert np.allclose(fisher.entries, [[24.0, 12.0, 0.0],
+                                            [12.0, 1012.0 / 121.0, 0.0],
+                                            [0.0, 0.0, 24.0]],
+                           rtol=1e-14, atol=0.0)
+
 
 class TestExponentialFamily:
     def test_single_observation(self):
@@ -251,6 +263,17 @@ class TestGreedyMask:
         assert mask.sum(axis=1).tolist() == [2, 2]
         for row, got in zip(c, mask):
             assert np.array_equal(got, greedy_mask(row, 1))
+
+    def test_level_zero_keeps_the_constant_mode_alone(self):
+        # Another infinite magnitude ties with the constant mode's, and a
+        # NaN leaves the cut empty: both rows are redone in the tie-break
+        # order, which puts the constant mode first.
+        c = np.array([[0.5, np.inf, 2.0, -np.inf], [-1.0, np.nan, 3.0, 0.5],
+                      [2.0, 1.0, -4.0, 0.5]])
+        expected = np.tile([True, False, False, False], (3, 1))
+        assert np.array_equal(greedy_mask(c, 0), expected)
+        for row, got in zip(c, expected):
+            assert np.array_equal(greedy_mask(row, 0), got)
 
     def test_order_matches_greedy_selection_at_every_depth(self):
         # Small integers: nearly every row ties at nearly every depth.
@@ -839,6 +862,17 @@ class TestLandscapeFamilies:
         gen = family.model_at(ParameterVector([1.0, -2.0]))
         fit = family.fit(gen.sampler(N, replicate_rng(42, 0)))
         assert np.abs(fit.params.coordinates - [1.0, -2.0]).max() < 1.0
+
+    @pytest.mark.parametrize("N", [10, 30])
+    def test_linear_trend_fisher_matrix(self, N):
+        # D = [1, t] on N points of [0, 1]: D'D = [[N, N / 2],
+        # [N / 2, N (2N - 1) / (6 (N - 1))]], at any parameters.
+        fisher = linear_trend_family(N).fisher_at(
+            ParameterVector([1.0, 2.0]), N)
+        assert np.allclose(fisher.entries,
+                           [[N, N / 2], [N / 2, N * (2 * N - 1)
+                                         / (6 * (N - 1))]],
+                           rtol=1e-14, atol=0.0)
 
     def test_structured_flags(self):
         assert sequential_fourier_family(1, 20).structured_data
