@@ -327,16 +327,10 @@ def fic_complexity_gradient(family, theta_hat: ParameterVector,
     draws, so the noise of shared draws cancels. Steps are ``fd_step``
     (finite and non-zero) in MLE-standard-deviation units per coordinate.
     """
-    return _gradient(family, theta_hat, sample_size, fd_step, replicates,
-                     seed, _fisher_inverse(family.fisher_at(
-                         theta_hat, sample_size), use_pseudo_inverse))
-
-
-def _gradient(family, theta_hat: ParameterVector, sample_size: int,
-              fd_step: float, replicates: int, seed: int, inv: np.ndarray):
     if fd_step == 0 or not math.isfinite(fd_step):
         raise ValueError(f"fd_step must be finite and non-zero: {fd_step}")
-    scales = np.sqrt(np.diag(inv))
+    scales = np.sqrt(np.diag(_fisher_inverse(
+        family.fisher_at(theta_hat, sample_size), use_pseudo_inverse)))
     steps = fd_step * np.where(scales > 0, scales, 1.0)
     pairs = []
     for i, step in enumerate(steps):
@@ -360,10 +354,11 @@ def fic_variance_estimate(family, theta_hat: ParameterVector,
     Zero (within Monte Carlo noise) for parameter-invariant
     complexities.
     """
-    inv = _fisher_inverse(family.fisher_at(theta_hat, sample_size),
-                          use_pseudo_inverse)
-    grad, _ = _gradient(family, theta_hat, sample_size, fd_step, replicates,
-                        seed, inv)
+    fisher = family.fisher_at(theta_hat, sample_size)
+    inv = _fisher_inverse(fisher, use_pseudo_inverse)
+    grad, _ = fic_complexity_gradient(family, theta_hat, sample_size,
+                                      fd_step, replicates, seed,
+                                      use_pseudo_inverse)
     return float(grad @ inv @ grad)
 
 

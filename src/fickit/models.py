@@ -100,7 +100,8 @@ def _gaussian_model(params: ParameterVector,
     place.
 
     A Fourier fit passes the orthonormal coefficients it ``kept`` in
-    place of a mean, and no variance: such a model has unit variance.
+    place of a mean, and no variance (passing either raises): such a
+    model has unit variance, as ``FittedModel.kept`` requires.
     It scores in coefficient space (Parseval), and builds its
     data-space mean, one inverse transform, only when first asked for
     it. It samples in coefficient space too (the transform is linear):
@@ -110,6 +111,8 @@ def _gaussian_model(params: ParameterVector,
     such fits is one inner product.
     """
     variance = np.asarray(variance, dtype=float)
+    if kept is not None and (mean is not None or np.any(variance != 1.0)):
+        raise ValueError("a model with kept coefficients has unit variance")
     log_norm = LOG_2PI + _log(variance)
     sd = np.sqrt(variance)[..., None]
     if kept is not None:

@@ -918,23 +918,6 @@ class TestFicVariance:
             estimate(gaussian_mean_family(2), ParameterVector([0.3, -0.2]),
                      20, fd_step=fd_step, replicates=50, seed=1)
 
-    @pytest.mark.parametrize("case", ["gaussian", "sine", "greedy"])
-    def test_variance_evaluates_the_fisher_metric_once(self, case):
-        cases = {"gaussian": (gaussian_mean_family(2),
-                              ParameterVector([0.3, -0.2]), 20, False),
-                 **self._gradient_cases()}
-        family, theta, N, pinv = cases[case]
-        calls = []
-
-        def counted(params, sample_size):
-            calls.append(sample_size)
-            return family.fisher_at(params, sample_size)
-
-        counting = dataclasses.replace(family, fisher_at=counted)
-        fic_variance_estimate(counting, theta, N, replicates=50, seed=5,
-                              use_pseudo_inverse=pinv)
-        assert calls == [N]
-
     @pytest.mark.parametrize("family, theta, N", [
         (linear_regression_family(np.column_stack(
             [np.ones(12), np.linspace(0.0, 1.0, 12)])), [1.0, 2.0, 0.5], 12),

@@ -190,6 +190,14 @@ class TestSequentialFamily:
             fit.sampler(20, replicate_rng(3, 0)).values
             - replicate_rng(3, 0).standard_normal(20))
 
+    def test_kept_model_takes_no_mean_or_variance(self):
+        kept = np.zeros(20)
+        with pytest.raises(ValueError, match="unit variance"):
+            _gaussian_model(ParameterVector([0.0]), kept=kept, variance=2.0)
+        with pytest.raises(ValueError, match="unit variance"):
+            _gaussian_model(ParameterVector([0.0]), _fixed_mean(kept),
+                            kept=kept)
+
     def test_refit_averages_to_generator(self):
         family = sequential_fourier_family(1, 20)
         gen = family.model_at(ParameterVector([2.0, -1.0, 0.5]))
